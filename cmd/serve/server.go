@@ -726,26 +726,44 @@ func buildOptions(spec optionsSpec) ([]reconcile.Option, error) {
 	return opts, nil
 }
 
-func buildGraph(spec graphSpec) (*reconcile.Graph, error) {
+// validateGraph checks a wire graph without allocating: a node count
+// whose IDs fit a NodeID below its all-ones NoMatch sentinel, and edges
+// within it.
+func validateGraph(spec graphSpec) error {
 	if spec.Nodes <= 0 {
-		return nil, fmt.Errorf("graph needs a positive node count")
+		return fmt.Errorf("graph needs a positive node count")
 	}
-	edges := make([]reconcile.Edge, 0, len(spec.Edges))
+	if int64(spec.Nodes) >= int64(^reconcile.NodeID(0)) {
+		return fmt.Errorf("node count %d exceeds the %d-node limit", spec.Nodes, int64(^reconcile.NodeID(0))-1)
+	}
 	for _, e := range spec.Edges {
 		if e[0] < 0 || e[0] >= spec.Nodes || e[1] < 0 || e[1] >= spec.Nodes {
-			return nil, fmt.Errorf("edge (%d, %d) out of range for %d nodes", e[0], e[1], spec.Nodes)
+			return fmt.Errorf("edge (%d, %d) out of range for %d nodes", e[0], e[1], spec.Nodes)
 		}
-		edges = append(edges, reconcile.Edge{U: reconcile.NodeID(e[0]), V: reconcile.NodeID(e[1])})
 	}
-	return reconcile.FromEdges(spec.Nodes, edges), nil
+	return nil
 }
 
-func toPairs(raw [][2]int) []reconcile.Pair {
+// buildGraph builds a graph that passed validateGraph.
+func buildGraph(spec graphSpec) *reconcile.Graph {
+	edges := make([]reconcile.Edge, 0, len(spec.Edges))
+	for _, e := range spec.Edges {
+		edges = append(edges, reconcile.Edge{U: reconcile.NodeID(e[0]), V: reconcile.NodeID(e[1])})
+	}
+	return reconcile.FromEdges(spec.Nodes, edges)
+}
+
+// toPairs converts wire seeds to pairs, rejecting any endpoint outside
+// [0, n1) x [0, n2) before the conversion to NodeID could wrap it.
+func toPairs(raw [][2]int, n1, n2 int) ([]reconcile.Pair, error) {
 	out := make([]reconcile.Pair, 0, len(raw))
 	for _, p := range raw {
+		if p[0] < 0 || p[0] >= n1 || p[1] < 0 || p[1] >= n2 {
+			return nil, fmt.Errorf("seed (%d, %d): node out of range (%d x %d nodes)", p[0], p[1], n1, n2)
+		}
 		out = append(out, reconcile.Pair{Left: reconcile.NodeID(p[0]), Right: reconcile.NodeID(p[1])})
 	}
-	return out
+	return out, nil
 }
 
 // runJob drives one admitted run on its own goroutine: wait for a fair
@@ -809,22 +827,26 @@ func (j *job) closeMappings() {
 	}
 }
 
-// createJob handles POST .../jobs: admit against the tenant's quotas, build
-// the graphs and a Reconciler, start the run in a goroutine, answer 202
-// with the job id immediately.
+// createJob handles POST .../jobs: validate the request without
+// allocating for its graphs, admit it against the tenant's quotas, then
+// build the graphs and a Reconciler, start the run in a goroutine, answer
+// 202 with the job id immediately.
 func (s *server) createJob(w http.ResponseWriter, r *http.Request, tj *tenantJobs, t *tenant.Tenant) {
 	var req jobRequest
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	g1, err := buildGraph(req.G1)
-	if err != nil {
+	if err := validateGraph(req.G1); err != nil {
 		writeError(w, http.StatusBadRequest, "g1: %v", err)
 		return
 	}
-	g2, err := buildGraph(req.G2)
-	if err != nil {
+	if err := validateGraph(req.G2); err != nil {
 		writeError(w, http.StatusBadRequest, "g2: %v", err)
+		return
+	}
+	seeds, err := toPairs(req.Seeds, req.G1.Nodes, req.G2.Nodes)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	opts, err := buildOptions(req.Options)
@@ -857,6 +879,8 @@ func (s *server) createJob(w http.ResponseWriter, r *http.Request, tj *tenantJob
 			return
 		}
 	}
+
+	g1, g2 := buildGraph(req.G1), buildGraph(req.G2)
 
 	maxSweeps := req.MaxSweeps
 	if maxSweeps <= 0 {
@@ -899,7 +923,7 @@ func (s *server) createJob(w http.ResponseWriter, r *http.Request, tj *tenantJob
 	}
 
 	opts = append(opts,
-		reconcile.WithSeeds(toPairs(req.Seeds)),
+		reconcile.WithSeeds(seeds),
 		reconcile.WithProgress(s.progressHook(j)),
 		reconcile.WithTracer(j.tr))
 
@@ -1041,7 +1065,12 @@ func (s *server) addSeeds(w http.ResponseWriter, r *http.Request, tj *tenantJobs
 	// conflict, which would leave the job's counters and matching out of
 	// step on a 409. Pre-check the whole batch against the current links
 	// (and itself) so a rejected request changes nothing.
-	newSeeds := toPairs(req.Seeds)
+	newSeeds, err := toPairs(req.Seeds, j.n1, j.n2)
+	if err != nil {
+		j.mu.Unlock()
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
 	usedL := make(map[reconcile.NodeID]reconcile.NodeID)
 	usedR := make(map[reconcile.NodeID]reconcile.NodeID)
 	for _, p := range j.rec.Result().Pairs {
@@ -1049,11 +1078,6 @@ func (s *server) addSeeds(w http.ResponseWriter, r *http.Request, tj *tenantJobs
 		usedR[p.Right] = p.Left
 	}
 	for _, p := range newSeeds {
-		if int(p.Left) >= j.n1 || int(p.Right) >= j.n2 {
-			j.mu.Unlock()
-			writeError(w, http.StatusBadRequest, "seed (%d, %d): node out of range (%d x %d nodes)", p.Left, p.Right, j.n1, j.n2)
-			return
-		}
 		if cur, ok := usedL[p.Left]; ok {
 			if cur == p.Right {
 				continue // exact duplicate, ignored by AddSeeds

@@ -36,6 +36,22 @@ func testInstance(t *testing.T, n int, seedFrac float64) jobRequest {
 	return req
 }
 
+// wireInstance builds a wire request's graphs and seeds as the server
+// does, failing the test on a request the server would refuse.
+func wireInstance(t *testing.T, req jobRequest) (g1, g2 *reconcile.Graph, seeds []reconcile.Pair) {
+	t.Helper()
+	for _, g := range []graphSpec{req.G1, req.G2} {
+		if err := validateGraph(g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	seeds, err := toPairs(req.Seeds, req.G1.Nodes, req.G2.Nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return buildGraph(req.G1), buildGraph(req.G2), seeds
+}
+
 // newTestServer builds a server, failing the test if any persisted job was
 // skipped during restore — tests never write jobs they cannot read back.
 func newTestServer(t *testing.T, st *store) *server {
@@ -126,15 +142,8 @@ func TestServeJobLifecycle(t *testing.T) {
 	}
 
 	// The HTTP result matches the in-process API on the same instance.
-	g1, err := buildGraph(req.G1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g2, err := buildGraph(req.G2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec, err := reconcile.New(g1, g2, reconcile.WithSeeds(toPairs(req.Seeds)))
+	g1, g2, seeds := wireInstance(t, req)
+	rec, err := reconcile.New(g1, g2, reconcile.WithSeeds(seeds))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,6 +329,65 @@ func TestServeValidation(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("out-of-range seed: status %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestServeSeedIDsOutOfRange: a seed endpoint outside [0, n) is a 400 on
+// both seed routes. An ID past the uint32 range once wrapped to a valid
+// node, so the probes use 2^32 plus an unlinked node: a wrapped check would
+// accept them as that node.
+func TestServeSeedIDsOutOfRange(t *testing.T) {
+	ts := httptest.NewServer(newTestServer(t, nil).handler())
+	defer ts.Close()
+	const wrap = 1 << 32
+
+	req := testInstance(t, 200, 0.3)
+	for _, bad := range [][2]int{{wrap + 5, 5}, {5, wrap + 5}, {-1, 5}, {5, req.G2.Nodes}} {
+		r := req
+		r.Seeds = append(append([][2]int(nil), req.Seeds...), bad)
+		resp := postJSON(t, ts.URL+"/v1/jobs", r)
+		body := decode[map[string]string](t, resp)
+		if resp.StatusCode != http.StatusBadRequest || body["error"] == "" {
+			t.Errorf("create with seed %v: status %d body %v, want 400", bad, resp.StatusCode, body)
+		}
+	}
+
+	resp := postJSON(t, ts.URL+"/v1/jobs", req)
+	id := decode[map[string]string](t, resp)["id"]
+	if v := waitForJob(t, ts.URL, id); v.Status != statusDone {
+		t.Fatalf("setup job: status %q", v.Status)
+	}
+	resp, err := http.Get(fmt.Sprintf("%s/v1/jobs/%s?pairs=1", ts.URL, id))
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := decode[jobView](t, resp)
+	used := map[int]bool{}
+	for _, p := range before.Pairs {
+		used[p[0]], used[p[1]] = true, true
+	}
+	free := -1
+	for v := 0; v < req.G1.Nodes && free < 0; v++ {
+		if !used[v] {
+			free = v
+		}
+	}
+	if free < 0 {
+		t.Fatal("no unlinked node to probe with")
+	}
+	for _, bad := range [][2]int{{wrap + free, free}, {free, wrap + free}, {free, -1}} {
+		resp := postJSON(t, fmt.Sprintf("%s/v1/jobs/%s/seeds", ts.URL, id), map[string]any{"seeds": [][2]int{bad}})
+		body := decode[map[string]string](t, resp)
+		if resp.StatusCode != http.StatusBadRequest || body["error"] == "" {
+			t.Errorf("add seed %v: status %d body %v, want 400", bad, resp.StatusCode, body)
+		}
+	}
+	resp, err = http.Get(fmt.Sprintf("%s/v1/jobs/%s", ts.URL, id))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after := decode[jobView](t, resp); after.Seeds != before.Seeds || after.Links != before.Links {
+		t.Fatalf("refused seeds changed the job: seeds %d -> %d, links %d -> %d", before.Seeds, after.Seeds, before.Links, after.Links)
 	}
 }
 

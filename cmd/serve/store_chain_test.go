@@ -23,15 +23,7 @@ import (
 func chainVictim(t *testing.T, st *store, id string, iterations, sweeps int) (want *reconcile.Result) {
 	t.Helper()
 	req := testInstance(t, 400, 0.15)
-	g1, err := buildGraph(req.G1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g2, err := buildGraph(req.G2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seeds := toPairs(req.Seeds)
+	g1, g2, seeds := wireInstance(t, req)
 
 	// Pin a fixed engine: the default hybrid's regime handoff forces one
 	// extra full record mid-chain (ErrFullRequired), which would perturb the
@@ -412,15 +404,8 @@ func TestStoreReleasesBaseWhenIdle(t *testing.T) {
 func TestStoreLegacyFlatLayout(t *testing.T) {
 	dir := t.TempDir()
 	req := testInstance(t, 300, 0.2)
-	g1, err := buildGraph(req.G1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g2, err := buildGraph(req.G2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec, err := reconcile.New(g1, g2, reconcile.WithSeeds(toPairs(req.Seeds)))
+	g1, g2, seeds := wireInstance(t, req)
+	rec, err := reconcile.New(g1, g2, reconcile.WithSeeds(seeds))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -111,15 +111,7 @@ func TestServeDurableRestart(t *testing.T) {
 func TestServeInterruptedResume(t *testing.T) {
 	st := newTestStore(t)
 	req := testInstance(t, 500, 0.15)
-	g1, err := buildGraph(req.G1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g2, err := buildGraph(req.G2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seeds := toPairs(req.Seeds)
+	g1, g2, seeds := wireInstance(t, req)
 
 	// The uninterrupted reference.
 	ref, err := reconcile.New(g1, g2, reconcile.WithSeeds(seeds))
@@ -251,8 +243,7 @@ func TestServeCheckpointEndpoint(t *testing.T) {
 	if dropped != 0 {
 		t.Fatalf("recovery dropped %d records from an intact chain", dropped)
 	}
-	g1, _ := buildGraph(req.G1)
-	g2, _ := buildGraph(req.G2)
+	g1, g2, _ := wireInstance(t, req)
 	rec, err := reconcile.RestoreSessionState(g1, g2, state)
 	if err != nil {
 		t.Fatal(err)

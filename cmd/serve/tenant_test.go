@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -277,6 +278,36 @@ func TestTenantQuotaJobsAndNodes(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("nodes job after delete: status %d", resp.StatusCode)
+	}
+}
+
+// TestTenantNodeQuotaBeforeAllocation: a submission over the tenant's node
+// quota is refused before its graphs are built. Two billion nodes would
+// cost gigabytes of CSR offsets; the refusal must cost almost nothing.
+func TestTenantNodeQuotaBeforeAllocation(t *testing.T) {
+	reg := regWith(t, tenant.Config{Name: "small", Quotas: tenant.Quotas{MaxNodes: 1000}})
+	h := newMTServer(t, nil, serverConfig{registry: reg}).handler()
+	body := `{"g1":{"nodes":2000000000},"g2":{"nodes":1}}`
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	start := time.Now()
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, httptest.NewRequest("POST", "/v1/tenants/small/jobs", strings.NewReader(body)))
+	elapsed := time.Since(start)
+	runtime.ReadMemStats(&after)
+
+	if w.Code != http.StatusTooManyRequests || !strings.Contains(w.Body.String(), "nodes quota") {
+		t.Fatalf("status %d body %s, want 429 nodes quota", w.Code, w.Body)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 4<<20 {
+		t.Fatalf("refusal allocated %d bytes, want < 4 MiB", alloc)
+	}
+	if elapsed > 5*time.Second {
+		t.Fatalf("refusal took %v", elapsed)
+	}
+	if _, nodes := reg.Get("small").Usage(); nodes != 0 {
+		t.Fatalf("refused job holds %d nodes of quota", nodes)
 	}
 }
 
@@ -644,15 +675,7 @@ func TestTenantRecoveryAfterKill(t *testing.T) {
 func tenantChainVictim(t *testing.T, st *store, tenantName, id string, iterations, sweeps int) *reconcile.Result {
 	t.Helper()
 	req := testInstance(t, 400, 0.15)
-	g1, err := buildGraph(req.G1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g2, err := buildGraph(req.G2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seeds := toPairs(req.Seeds)
+	g1, g2, seeds := wireInstance(t, req)
 
 	ref, err := reconcile.New(g1, g2, reconcile.WithSeeds(seeds), reconcile.WithIterations(iterations))
 	if err != nil {
@@ -883,15 +906,8 @@ func TestServeGracefulShutdown(t *testing.T) {
 	id := decode[map[string]string](t, resp)["id"]
 
 	// The uninterrupted reference for the bit-identity check.
-	g1, err := buildGraph(req.G1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g2, err := buildGraph(req.G2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := reconcile.New(g1, g2, reconcile.WithSeeds(toPairs(req.Seeds)))
+	g1, g2, seeds := wireInstance(t, req)
+	ref, err := reconcile.New(g1, g2, reconcile.WithSeeds(seeds))
 	if err != nil {
 		t.Fatal(err)
 	}

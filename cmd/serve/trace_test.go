@@ -132,14 +132,7 @@ func TestTraceContinuousAcrossRestart(t *testing.T) {
 			st := newTestStore(t)
 			req := testInstance(t, 300, 0.2)
 			req.Options.Engine = engine
-			g1, err := buildGraph(req.G1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			g2, err := buildGraph(req.G2)
-			if err != nil {
-				t.Fatal(err)
-			}
+			g1, g2, seeds := wireInstance(t, req)
 			opts, err := buildOptions(req.Options)
 			if err != nil {
 				t.Fatal(err)
@@ -153,7 +146,7 @@ func TestTraceContinuousAcrossRestart(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			victim, err := reconcile.New(g1, g2, append(opts,
-				reconcile.WithSeeds(toPairs(req.Seeds)),
+				reconcile.WithSeeds(seeds),
 				reconcile.WithTracer(tr),
 				reconcile.WithProgress(func(e reconcile.PhaseEvent) {
 					phases = append(phases, phaseJSON{

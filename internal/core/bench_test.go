@@ -31,13 +31,43 @@ func BenchmarkBucketed(b *testing.B) {
 
 // BenchmarkEngine compares the four in-core engines on the identical
 // instance and configuration; their outputs are bit-identical, so the
-// ns/op ratios are pure scheduling cost.
+// ns/op ratios are pure scheduling cost. The workers=1 and workers=2 rows
+// pin the parallel engine's pool size, so their ratio is its 1-core vs
+// 2-core scaling efficiency (on a machine with at least 2 idle cores).
+// Every row also reports hardware-independent work counts: nodes scored
+// (candidate accumulations) and witness increments.
 func BenchmarkEngine(b *testing.B) {
-	for _, engine := range []Engine{EngineSequential, EngineParallel, EngineFrontier, EngineHybrid} {
-		b.Run(engine.String(), func(b *testing.B) {
+	type row struct {
+		name    string
+		engine  Engine
+		workers int
+	}
+	rows := []row{
+		{"sequential", EngineSequential, 0},
+		{"parallel", EngineParallel, 0},
+		{"frontier", EngineFrontier, 0},
+		{"hybrid", EngineHybrid, 0},
+		{"parallel-workers=1", EngineParallel, 1},
+		{"parallel-workers=2", EngineParallel, 2},
+	}
+	g1, g2, seeds := benchInstance(b)
+	for _, r := range rows {
+		b.Run(r.name, func(b *testing.B) {
 			o := DefaultOptions()
-			o.Engine = engine
-			benchRun(b, o)
+			o.Engine = r.engine
+			o.Workers = r.workers
+			var work workCounts
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s, err := NewSession(g1, g2, seeds, o)
+				if err != nil {
+					b.Fatal(err)
+				}
+				s.Run(o.Iterations)
+				work.add(s.scoringWork())
+			}
+			b.ReportMetric(float64(work.scored)/float64(b.N), "nodes-scored/op")
+			b.ReportMetric(float64(work.witnesses)/float64(b.N), "witnesses/op")
 		})
 	}
 }

@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"math/bits"
 	"sync"
+	"sync/atomic"
 
 	"github.com/sociograph/reconcile/internal/graph"
 )
@@ -74,20 +76,41 @@ func ReconcileContext(ctx context.Context, g1, g2 *graph.Graph, seeds []graph.Pa
 // equivalence and naive-reference tests pin this). It is the difference
 // between rescanning every low-degree node in all k·log D bucket passes and
 // touching only nodes that could possibly match.
+//
+// Beside the counts it keeps each node's free level: bits.Len(degree) while
+// the node is unlinked, 0 once linked. A node is eligible at degree floor
+// 2^j exactly when its free level exceeds j, so the scoring inner loop
+// decides "unlinked and at the floor" with one read of an n-byte array,
+// where the Matching and the degree offsets would cost three reads across
+// 12n bytes. Both are maintained here because newLinkedCounts and addPair
+// are the only places L grows.
 type linkedCounts struct {
-	left  []int32
-	right []int32
+	left      []int32
+	right     []int32
+	leftFree  []uint8
+	rightFree []uint8
 }
 
 func newLinkedCounts(g1, g2 *graph.Graph, m *Matching) *linkedCounts {
 	lc := &linkedCounts{
-		left:  make([]int32, g1.NumNodes()),
-		right: make([]int32, g2.NumNodes()),
+		left:      make([]int32, g1.NumNodes()),
+		right:     make([]int32, g2.NumNodes()),
+		leftFree:  freeLevels(g1),
+		rightFree: freeLevels(g2),
 	}
 	for _, p := range m.pairs {
 		lc.addPair(g1, g2, p)
 	}
 	return lc
+}
+
+// freeLevels returns every node's free level as if no node were linked.
+func freeLevels(g *graph.Graph) []uint8 {
+	free := make([]uint8, g.NumNodes())
+	for v := range free {
+		free[v] = uint8(bits.Len(uint(g.Degree(graph.NodeID(v)))))
+	}
+	return free
 }
 
 func (lc *linkedCounts) addPair(g1, g2 *graph.Graph, p graph.Pair) {
@@ -97,37 +120,58 @@ func (lc *linkedCounts) addPair(g1, g2 *graph.Graph, p graph.Pair) {
 	for _, u := range g2.Neighbors(p.Right) {
 		lc.right[u]++
 	}
+	lc.leftFree[p.Left] = 0
+	lc.rightFree[p.Right] = 0
+}
+
+// side returns the linked counts and free levels of the iterating side of
+// a pass in direction dir, and the free levels of its partner side.
+func (lc *linkedCounts) side(dir passDirection) (linked []int32, selfFree, partnerFree []uint8) {
+	if dir == fromLeft {
+		return lc.left, lc.leftFree, lc.rightFree
+	}
+	return lc.right, lc.rightFree, lc.leftFree
+}
+
+// fullScan is the per-session scratch of the full (sequential and parallel)
+// engines, reused across bucket passes: both sides' proposal arrays and the
+// per-worker scorers, sized for the larger side so one pool serves both
+// directions.
+type fullScan struct {
+	leftBest  []candidate
+	rightBest []candidate
+	scorers   []*scorer
+}
+
+func newFullScan(g1, g2 *graph.Graph) *fullScan {
+	return &fullScan{
+		leftBest:  make([]candidate, g1.NumNodes()),
+		rightBest: make([]candidate, g2.NumNodes()),
+	}
 }
 
 // runBucket performs one scoring pass at the given degree floor and commits
 // every mutual-best pair with score >= T. Returns the number of new links.
-func runBucket(g1, g2 *graph.Graph, m *Matching, lc *linkedCounts, minDeg int, opts Options) int {
-	n1, n2 := g1.NumNodes(), g2.NumNodes()
+// The sequential engine is the same pass on one worker.
+func (fs *fullScan) runBucket(g1, g2 *graph.Graph, m *Matching, lc *linkedCounts, minDeg int, opts Options) int {
 	p := opts.passParams(minDeg)
-	leftBest := make([]candidate, n1)
-	rightBest := make([]candidate, n2)
-
+	workers := opts.workers()
 	if opts.Engine == EngineSequential {
-		sc := newScorer(n2, p.weighted)
-		scoreRange(fromLeft, g1, g2, m, lc, p, 0, n1, sc, leftBest)
-		sc2 := newScorer(n1, p.weighted)
-		scoreRange(fromRight, g1, g2, m, lc, p, 0, n2, sc2, rightBest)
-	} else {
-		parallelPass(fromLeft, g1, g2, m, lc, p, leftBest, opts.workers())
-		parallelPass(fromRight, g1, g2, m, lc, p, rightBest, opts.workers())
+		workers = 1
 	}
+	fs.pass(fromLeft, g1, g2, m, lc, p, fs.leftBest, workers)
+	fs.pass(fromRight, g1, g2, m, lc, p, fs.rightBest, workers)
 
 	// Commit mutual bests. leftBest[v1] proposes v2; accept iff v2 proposes
 	// v1 back. Scores agree automatically (witness counts are symmetric),
 	// and each node occurs in at most one accepted pair, so the commits
 	// cannot conflict.
 	matched := 0
-	for v1 := 0; v1 < n1; v1++ {
-		c := leftBest[v1]
+	for v1, c := range fs.leftBest {
 		if c.score == 0 {
 			continue
 		}
-		back := rightBest[c.node]
+		back := fs.rightBest[c.node]
 		if back.score == 0 || back.node != graph.NodeID(v1) {
 			continue
 		}
@@ -139,42 +183,60 @@ func runBucket(g1, g2 *graph.Graph, m *Matching, lc *linkedCounts, minDeg int, o
 	return matched
 }
 
-// parallelPass is scoreRange sharded over a worker pool. Each worker owns a
-// scratch scorer; outputs land in disjoint slices of best, so no
-// synchronization beyond the WaitGroup is needed and the result is
-// independent of scheduling.
-func parallelPass(dir passDirection, g1, g2 *graph.Graph, m *Matching, lc *linkedCounts, p passParams, best []candidate, workers int) {
-	n := len(best)
-	if n == 0 {
+// pass is scoreRange over every node of one side, scheduled by forBlocks:
+// workers claim node blocks and score them with their own scorer. Every
+// node's proposal lands in its own slot of best and depends only on state
+// the pass does not write, so the result is independent of scheduling.
+func (fs *fullScan) pass(dir passDirection, g1, g2 *graph.Graph, m *Matching, lc *linkedCounts, p passParams, best []candidate, workers int) {
+	workers = blockWorkers(len(best), workers)
+	for len(fs.scorers) < workers {
+		fs.scorers = append(fs.scorers, newScorer(max(g1.NumNodes(), g2.NumNodes()), p.weighted))
+	}
+	forBlocks(len(best), workers, func(w, lo, hi int) {
+		scoreRange(dir, g1, g2, m, lc, p, lo, hi, fs.scorers[w], best)
+	})
+}
+
+// claimBlock is the number of consecutive work items a worker claims at a
+// time. Load varies wildly between nodes — in preferential-attachment graphs
+// the low IDs hold the hubs — so workers claim small blocks from a shared
+// counter rather than splitting the range evenly up front; 256 items keep
+// the claims rare next to the scoring they schedule.
+const claimBlock = 256
+
+// blockWorkers caps workers at the number of blocks n items make (at least
+// one).
+func blockWorkers(n, workers int) int {
+	return max(1, min(workers, (n+claimBlock-1)/claimBlock))
+}
+
+// forBlocks calls fn(w, lo, hi) for consecutive blocks [lo, hi) covering
+// [0, n), spread over blockWorkers(n, workers) goroutines that claim blocks
+// from an atomic counter; w identifies the calling worker, so fn may use
+// per-worker scratch indexed by it. With one worker it runs inline. It
+// returns once every block is done.
+func forBlocks(n, workers int, fn func(w, lo, hi int)) {
+	workers = blockWorkers(n, workers)
+	if workers == 1 {
+		if n > 0 {
+			fn(0, 0, n)
+		}
 		return
 	}
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	nPartners := g1.NumNodes()
-	if dir == fromLeft {
-		nPartners = g2.NumNodes()
-	}
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
 	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		if lo >= n {
-			break
-		}
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
 		wg.Add(1)
-		go func(lo, hi int) {
+		go func() {
 			defer wg.Done()
-			sc := newScorer(nPartners, p.weighted)
-			scoreRange(dir, g1, g2, m, lc, p, lo, hi, sc, best)
-		}(lo, hi)
+			for {
+				lo := int(next.Add(1)-1) * claimBlock
+				if lo >= n {
+					return
+				}
+				fn(w, lo, min(lo+claimBlock, n))
+			}
+		}()
 	}
 	wg.Wait()
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -214,5 +216,56 @@ func TestMoreIterationsNeverShrink(t *testing.T) {
 	}
 	if len(three.Pairs) < len(one.Pairs) {
 		t.Fatalf("3 iterations found %d pairs, 1 iteration %d", len(three.Pairs), len(one.Pairs))
+	}
+}
+
+// TestBlockScheduledEnginesMatchSequential pins scheduling independence on
+// an instance far larger than one scheduling block: the parallel engine
+// scores 32 claimBlock-sized node blocks per side and pass, and the frontier
+// engine drains worklists spanning at least 8 blocks, with the workers
+// racing for blocks in whatever order the runtime gives them. Pairs (in
+// discovery order) and phase statistics must be bit-identical to the
+// sequential engine's under both scorings and both tie policies.
+func TestBlockScheduledEnginesMatchSequential(t *testing.T) {
+	g1, g2, seeds := testInstance(5, 32*claimBlock)
+	for _, scoring := range []Scoring{ScoreWitnessCount, ScoreAdamicAdar} {
+		for _, ties := range []TieBreak{TieReject, TieLowestID} {
+			opts := DefaultOptions()
+			opts.Scoring = scoring
+			opts.Ties = ties
+			opts.Engine = EngineSequential
+			want, err := Reconcile(g1, g2, seeds, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, engine := range []Engine{EngineParallel, EngineFrontier} {
+				for _, workers := range []int{2, 3, 7} {
+					name := fmt.Sprintf("%v/%v/%v/workers=%d", scoring, ties, engine, workers)
+					opts.Engine = engine
+					opts.Workers = workers
+					s, err := NewSession(g1, g2, seeds, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					maxDrain := 0
+					s.SetProgress(func(PhaseEvent) {
+						if s.fr != nil {
+							maxDrain = max(maxDrain, len(s.fr.left.run), len(s.fr.right.run))
+						}
+					})
+					s.Run(opts.Iterations)
+					got := s.Result()
+					if !slices.Equal(got.Pairs, want.Pairs) {
+						t.Errorf("%s: pairs differ from sequential (%d vs %d)", name, len(got.Pairs), len(want.Pairs))
+					}
+					if !slices.Equal(got.Phases, want.Phases) {
+						t.Errorf("%s: phases differ from sequential", name)
+					}
+					if engine == EngineFrontier && maxDrain < 8*claimBlock {
+						t.Errorf("%s: largest worklist drain is %d nodes, want >= %d (8 blocks)", name, maxDrain, 8*claimBlock)
+					}
+				}
+			}
+		}
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/bits"
-	"sync"
 
 	"github.com/sociograph/reconcile/internal/graph"
 )
@@ -50,6 +49,10 @@ type frontierState struct {
 	left  frontierSide
 	right frontierSide
 
+	// scratch is the per-worker all-levels scoring scratch, sized for the
+	// larger side and reused across passes and sides.
+	scratch []*frontierScorer
+
 	// rescored counts nodes drained from the worklists over the session's
 	// lifetime — the engine's total scoring work. The full engines'
 	// equivalent is (n1+n2) × passes; tests assert the frontier stays far
@@ -72,8 +75,7 @@ type frontierSide struct {
 	// dirty lists the nodes to re-score before the next commit scan.
 	dirty []graph.NodeID
 
-	run     []graph.NodeID    // scratch: the eligible slice of a drain
-	scratch []*frontierScorer // per-worker scoring scratch, reused across passes
+	run []graph.NodeID // scratch: the eligible slice of a drain
 }
 
 // topExpOf returns log2 of the schedule's highest degree floor.
@@ -118,11 +120,12 @@ func (s *frontierSide) mark(v graph.NodeID) {
 }
 
 // bandOf returns the first (highest-floor) schedule index whose floor is
-// <= d, i.e. the earliest bucket pass at which a partner of degree d is
-// eligible. Levels are consecutive descending powers of two, so this is pure
-// bit arithmetic. d must be >= levels[len(levels)-1].
-func (f *frontierState) bandOf(d int) int {
-	b := f.topExp - (bits.Len(uint(d)) - 1)
+// <= the degree of a partner with free level fl (bits.Len of its degree),
+// i.e. the earliest bucket pass at which that partner is eligible. Levels
+// are consecutive descending powers of two, so this is pure bit arithmetic.
+// The degree must be >= levels[len(levels)-1].
+func (f *frontierState) bandOf(fl uint8) int {
+	b := f.topExp - (int(fl) - 1)
 	if b < 0 {
 		return 0
 	}
@@ -247,22 +250,19 @@ func (s *frontierSide) markIfAffected(v, lost graph.NodeID, selfMatched []graph.
 	}
 }
 
-// frontierGrain is the minimum dirty-worklist share per goroutine before the
-// refresh fans out; below it the spawn overhead dominates.
-const frontierGrain = 256
-
 // refreshSide re-scores the queued nodes on one side that this pass can
 // actually read — those with degree >= minDeg; the rest cannot propose or be
 // proposed at this floor, so they stay queued and are scored at their first
-// eligible (lower-floor) pass, collapsing any dirtying in between. Workers
-// (if any) write disjoint cache rows from read-only shared state, so the
-// result is independent of scheduling.
+// eligible (lower-floor) pass, collapsing any dirtying in between. The
+// drained nodes are scheduled by forBlocks: workers claim blocks of the
+// worklist, each with its own scratch, and write disjoint cache rows from
+// read-only shared state, so the result is independent of scheduling.
 func (f *frontierState) refreshSide(dir passDirection, g1, g2 *graph.Graph, m *Matching, lc *linkedCounts, minDeg int, opts Options) {
 	side := &f.left
-	ga, nPartners := g1, g2.NumNodes()
+	ga := g1
 	if dir == fromRight {
 		side = &f.right
-		ga, nPartners = g2, g1.NumNodes()
+		ga = g2
 	}
 	if len(side.dirty) == 0 {
 		return
@@ -292,64 +292,30 @@ func (f *frontierState) refreshSide(dir passDirection, g1, g2 *graph.Graph, m *M
 	f.rescored += int64(len(work))
 	// Accumulate candidates down to the schedule's lowest floor; per-level
 	// eligibility is applied during derivation.
-	p := opts.passParams(f.levels[len(f.levels)-1])
-
-	workers := opts.workers()
-	if max := len(work) / frontierGrain; workers > max {
-		workers = max
+	p := opts.passParams(floor)
+	workers := blockWorkers(len(work), opts.workers())
+	for len(f.scratch) < workers {
+		f.scratch = append(f.scratch, newFrontierScorer(max(g1.NumNodes(), g2.NumNodes()), p.weighted, len(f.levels)))
 	}
-	if workers <= 1 {
-		sc := side.scorer(0, nPartners, p.weighted, len(f.levels))
-		for _, v := range work {
-			f.rescoreNode(dir, sc, v, g1, g2, m, lc, p)
+	forBlocks(len(work), workers, func(w, lo, hi int) {
+		for _, v := range work[lo:hi] {
+			f.rescoreNode(dir, f.scratch[w], v, g1, g2, m, lc, p)
 		}
-	} else {
-		var wg sync.WaitGroup
-		chunk := (len(work) + workers - 1) / workers
-		for w := 0; w < workers; w++ {
-			lo := w * chunk
-			if lo >= len(work) {
-				break
-			}
-			hi := lo + chunk
-			if hi > len(work) {
-				hi = len(work)
-			}
-			sc := side.scorer(w, nPartners, p.weighted, len(f.levels))
-			wg.Add(1)
-			go func(sc *frontierScorer, part []graph.NodeID) {
-				defer wg.Done()
-				for _, v := range part {
-					f.rescoreNode(dir, sc, v, g1, g2, m, lc, p)
-				}
-			}(sc, work[lo:hi])
-		}
-		wg.Wait()
-	}
-}
-
-// scorer returns the side's persistent scratch for worker i, growing the pool
-// on first use.
-func (s *frontierSide) scorer(i, nPartners int, weighted bool, nLevels int) *frontierScorer {
-	for len(s.scratch) <= i {
-		s.scratch = append(s.scratch, newFrontierScorer(nPartners, weighted, nLevels))
-	}
-	return s.scratch[i]
+	})
 }
 
 // rescoreNode recomputes v's cache row — its proposal at every bucket level —
 // from the current matching state.
 func (f *frontierState) rescoreNode(dir passDirection, sc *frontierScorer, v graph.NodeID, g1, g2 *graph.Graph, m *Matching, lc *linkedCounts, p passParams) {
-	ga, gb, link, selfMatched, partnerMatched := passViews(dir, g1, g2, m)
-	linked := lc.left
+	ga, gb, link := passViews(dir, g1, g2, m)
+	linked, _, partnerFree := lc.side(dir)
 	cache := f.left.cache
 	if dir == fromRight {
-		linked = lc.right
 		cache = f.right.cache
 	}
 	nLevels := len(f.levels)
 	row := cache[int(v)*nLevels : (int(v)+1)*nLevels]
-	if selfMatched[v] != NoMatch {
+	if link[v] != NoMatch {
 		// Matched nodes never propose again; the commit scan gates their
 		// stale rows on the Matching.
 		return
@@ -363,28 +329,22 @@ func (f *frontierState) rescoreNode(dir passDirection, sc *frontierScorer, v gra
 		}
 		return
 	}
-	sc.allLevels(v, ga, gb, link, partnerMatched, p, f, row)
+	sc.allLevels(v, ga, gb, link, partnerFree, p, f, row)
 }
 
-// frontierScorer is the per-worker scratch for all-levels scoring: the same
-// dense score/weight arrays as scorer, plus the touched partners grouped by
-// the bucket level at which they first become eligible.
+// frontierScorer is the per-worker scratch for all-levels scoring: scorer's
+// dense score/weight arrays, plus the touched partners grouped by the bucket
+// level at which they first become eligible.
 type frontierScorer struct {
-	scores  []int32
-	weights []float32 // nil unless weighted scoring is on
-	touched []graph.NodeID
-	bands   [][]graph.NodeID
+	scorer
+	bands [][]graph.NodeID
 }
 
 func newFrontierScorer(nPartners int, weighted bool, nLevels int) *frontierScorer {
-	s := &frontierScorer{
-		scores: make([]int32, nPartners),
+	return &frontierScorer{
+		scorer: *newScorer(nPartners, weighted),
 		bands:  make([][]graph.NodeID, nLevels),
 	}
-	if weighted {
-		s.weights = make([]float32, nPartners)
-	}
-	return s
 }
 
 // allLevels computes out[j] — v's proposal at every schedule level j — in one
@@ -397,11 +357,13 @@ func newFrontierScorer(nPartners int, weighted bool, nLevels int) *frontierScore
 func (sc *frontierScorer) allLevels(
 	v graph.NodeID,
 	ga, gb *graph.Graph,
-	link, partnerMatched []graph.NodeID,
+	link []graph.NodeID,
+	partnerFree []uint8,
 	p passParams,
 	f *frontierState,
 	out []candidate,
 ) {
+	sc.work.scored++
 	for _, u := range ga.Neighbors(v) {
 		u2 := link[u]
 		if u2 == NoMatch {
@@ -412,16 +374,13 @@ func (sc *frontierScorer) allLevels(
 			wt = witnessWeight(ga.Degree(u), gb.Degree(u2))
 		}
 		for _, w := range gb.Neighbors(u2) {
-			if partnerMatched[w] != NoMatch {
-				continue
-			}
-			d := gb.Degree(w)
-			if d < p.minDeg {
+			fl := partnerFree[w]
+			if fl <= p.floorExp {
 				continue
 			}
 			if sc.scores[w] == 0 {
 				sc.touched = append(sc.touched, w)
-				b := f.bandOf(d)
+				b := f.bandOf(fl)
 				sc.bands[b] = append(sc.bands[b], w)
 			}
 			sc.scores[w]++
@@ -487,12 +446,15 @@ func (sc *frontierScorer) allLevels(
 		}
 	}
 
+	var witnesses int64
 	for _, w := range sc.touched {
+		witnesses += int64(sc.scores[w])
 		sc.scores[w] = 0
 		if sc.weights != nil {
 			sc.weights[w] = 0
 		}
 	}
+	sc.work.witnesses += witnesses
 	sc.touched = sc.touched[:0]
 	for j := range sc.bands {
 		sc.bands[j] = sc.bands[j][:0]

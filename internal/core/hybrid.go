@@ -97,6 +97,9 @@ func (s *Session) endSweep() {
 func (s *Session) ensureHybridFrontier() {
 	if s.hybridSwitched && s.fr == nil {
 		sp := s.tracer.Begin(trace.KindHandoff, "parallel->frontier state build")
+		// The handoff is one-way: the full engines' scratch is never used
+		// again, so a finished job does not keep it alive.
+		s.scanWork, s.scan = s.scoringWork(), nil
 		s.fr = newFrontierState(s.g1, s.g2, s.m, s.lc, s.opts)
 		sp.End()
 	}

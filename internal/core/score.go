@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/bits"
 
 	"github.com/sociograph/reconcile/internal/graph"
 )
@@ -16,7 +17,9 @@ type candidate struct {
 
 // passParams bundles the per-bucket scoring configuration.
 type passParams struct {
-	minDeg    int
+	// floorExp is j for the pass's degree floor 2^j (floors are always powers
+	// of two): a node is eligible iff its free level exceeds floorExp.
+	floorExp  uint8
 	threshold int32
 	ties      TieBreak
 	weighted  bool // rank by Adamic-Adar weights instead of raw counts
@@ -25,7 +28,7 @@ type passParams struct {
 
 func (o Options) passParams(minDeg int) passParams {
 	return passParams{
-		minDeg:    minDeg,
+		floorExp:  uint8(bits.Len(uint(minDeg)) - 1),
 		threshold: int32(o.Threshold),
 		ties:      o.Ties,
 		weighted:  o.Scoring == ScoreAdamicAdar,
@@ -44,7 +47,7 @@ func witnessWeight(d1, d2 int) float32 {
 	return float32(1 / math.Log2(float64(2+d)))
 }
 
-// scorer is the per-worker scratch for one directional scoring pass. Scores
+// scorer is the per-worker scratch for directional scoring passes. Scores
 // are accumulated in dense arrays indexed by partner node, with a touched
 // list for O(candidates) clearing — the matcher's hot path allocates nothing
 // per node.
@@ -52,6 +55,21 @@ type scorer struct {
 	scores  []int32
 	weights []float32 // nil unless weighted scoring is on
 	touched []graph.NodeID
+	work    workCounts
+}
+
+// workCounts tallies scoring work in hardware-independent units. Scorers
+// add to it once per node and once per selection loop (the witnesses are
+// the summed scores they clear), never per increment, so the inner loop
+// stays as it is.
+type workCounts struct {
+	scored    int64 // nodes whose candidates were accumulated
+	witnesses int64 // witness increments over those accumulations
+}
+
+func (w *workCounts) add(o workCounts) {
+	w.scored += o.scored
+	w.witnesses += o.witnesses
 }
 
 func newScorer(nPartners int, weighted bool) *scorer {
@@ -66,19 +84,22 @@ func newScorer(nPartners int, weighted bool) *scorer {
 // for node v in graph ga, where partners live in graph gb:
 //
 //	for each neighbor u of v in ga that is linked to u' = link[u],
-//	    every unmatched w ∈ N_gb(u') with deg_gb(w) >= minDeg
+//	    every unmatched w ∈ N_gb(u') with deg_gb(w) >= 2^floorExp
 //	    gains one witness (u, u').
 //
 // Candidates are ranked by witness count (or by Adamic-Adar weight under
 // weighted scoring); the winner must have count >= threshold, survive the
 // tie policy, and beat every other candidate's count by minMargin.
-// partnerMatched[w] != NoMatch excludes already-linked partners.
+// partnerFree holds the partners' free levels (see linkedCounts): one byte
+// decides both "unmatched" and "degree at the floor".
 func (s *scorer) bestFor(
 	v graph.NodeID,
 	ga, gb *graph.Graph,
-	link, partnerMatched []graph.NodeID,
+	link []graph.NodeID,
+	partnerFree []uint8,
 	p passParams,
 ) candidate {
+	s.work.scored++
 	for _, u := range ga.Neighbors(v) {
 		u2 := link[u]
 		if u2 == NoMatch {
@@ -89,10 +110,7 @@ func (s *scorer) bestFor(
 			wt = witnessWeight(ga.Degree(u), gb.Degree(u2))
 		}
 		for _, w := range gb.Neighbors(u2) {
-			if partnerMatched[w] != NoMatch {
-				continue
-			}
-			if gb.Degree(w) < p.minDeg {
+			if partnerFree[w] <= p.floorExp {
 				continue
 			}
 			if s.scores[w] == 0 {
@@ -136,7 +154,9 @@ func (s *scorer) bestFor(
 	// and beat every other candidate's count by minMargin; clear scratch.
 	selCount := s.scores[best]
 	var maxOther int32
+	var witnesses int64
 	for _, w := range s.touched {
+		witnesses += int64(s.scores[w])
 		if w != best && s.scores[w] > maxOther {
 			maxOther = s.scores[w]
 		}
@@ -145,6 +165,7 @@ func (s *scorer) bestFor(
 			s.weights[w] = 0
 		}
 	}
+	s.work.witnesses += witnesses
 	s.touched = s.touched[:0]
 
 	switch {
@@ -168,18 +189,19 @@ const (
 )
 
 // passViews bundles the graph/matching views for one direction.
-func passViews(dir passDirection, g1, g2 *graph.Graph, m *Matching) (ga, gb *graph.Graph, link, selfMatched, partnerMatched []graph.NodeID) {
+func passViews(dir passDirection, g1, g2 *graph.Graph, m *Matching) (ga, gb *graph.Graph, link []graph.NodeID) {
 	if dir == fromLeft {
-		return g1, g2, m.left, m.left, m.right
+		return g1, g2, m.left
 	}
-	return g2, g1, m.right, m.right, m.left
+	return g2, g1, m.right
 }
 
 // scoreRange computes candidates for nodes [lo, hi) of the iterating side.
 // out[v] receives the proposal for node v (zero candidate when none).
-// Eligibility: the node itself is unmatched, has degree >= minDeg, and has
-// at least threshold linked neighbors (its score with any partner is
-// bounded by that count, so fewer linked neighbors cannot clear T).
+// Eligibility: the node itself is unmatched with degree at the floor (its
+// free level exceeds floorExp), and has at least threshold linked neighbors
+// (its score with any partner is bounded by that count, so fewer linked
+// neighbors cannot clear T).
 func scoreRange(
 	dir passDirection,
 	g1, g2 *graph.Graph,
@@ -190,17 +212,13 @@ func scoreRange(
 	sc *scorer,
 	out []candidate,
 ) {
-	ga, gb, link, selfMatched, partnerMatched := passViews(dir, g1, g2, m)
-	linked := lc.left
-	if dir == fromRight {
-		linked = lc.right
-	}
+	ga, gb, link := passViews(dir, g1, g2, m)
+	linked, selfFree, partnerFree := lc.side(dir)
 	for v := lo; v < hi; v++ {
 		out[v] = candidate{}
-		id := graph.NodeID(v)
-		if selfMatched[id] != NoMatch || ga.Degree(id) < p.minDeg || linked[id] < p.threshold {
+		if selfFree[v] <= p.floorExp || linked[v] < p.threshold {
 			continue
 		}
-		out[v] = sc.bestFor(id, ga, gb, link, partnerMatched, p)
+		out[v] = sc.bestFor(graph.NodeID(v), ga, gb, link, partnerFree, p)
 	}
 }

@@ -34,6 +34,11 @@ type Session struct {
 	opts   Options
 	m      *Matching
 	lc     *linkedCounts
+	// scan is the full engines' pass scratch, built at the first bucket that
+	// runs on them and reused by every later one. A hybrid session releases
+	// it at the frontier handoff, keeping its work tally in scanWork.
+	scan     *fullScan
+	scanWork workCounts
 	// fr is the frontier engine's persistent scheduling state: non-nil for
 	// EngineFrontier always, and for EngineHybrid once the session has
 	// switched regimes and run a bucket on the frontier engine.
@@ -187,7 +192,10 @@ func (s *Session) RunContext(ctx context.Context, sweeps int) (int, error) {
 		if s.fr != nil {
 			matched = s.fr.runBucket(s.g1, s.g2, s.m, s.lc, bi, minDeg, s.opts)
 		} else {
-			matched = runBucket(s.g1, s.g2, s.m, s.lc, minDeg, s.opts)
+			if s.scan == nil {
+				s.scan = newFullScan(s.g1, s.g2)
+			}
+			matched = s.scan.runBucket(s.g1, s.g2, s.m, s.lc, minDeg, s.opts)
 		}
 		if bsp != nil {
 			bsp.SetDetail(fmt.Sprintf("b%d/%d min %d matched %d", bi+1, len(buckets), minDeg, matched))
@@ -254,6 +262,24 @@ func (s *Session) RunUntilStableContext(ctx context.Context, maxSweeps int) (int
 		}
 	}
 	return total, nil
+}
+
+// scoringWork totals the scoring work this session has done in-process
+// (restored sessions start from zero): both engines' scorers keep their own
+// tallies for the session's life.
+func (s *Session) scoringWork() workCounts {
+	w := s.scanWork
+	if s.scan != nil {
+		for _, sc := range s.scan.scorers {
+			w.add(sc.work)
+		}
+	}
+	if s.fr != nil {
+		for _, sc := range s.fr.scratch {
+			w.add(sc.work)
+		}
+	}
+	return w
 }
 
 // Len returns the current number of links, seeds included.

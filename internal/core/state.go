@@ -306,6 +306,5 @@ func (s *frontierSide) restore(n, nLevels, nPartners int, snap FrontierSideSnaps
 	s.queued = queued
 	s.dirty = dirty
 	s.run = nil
-	s.scratch = nil
 	return nil
 }
