@@ -20,6 +20,7 @@ import (
 	"github.com/sociograph/reconcile"
 	"github.com/sociograph/reconcile/internal/baseline"
 	"github.com/sociograph/reconcile/internal/experiments"
+	"github.com/sociograph/reconcile/internal/mapreduce"
 )
 
 // benchConfig sizes the experiment stand-ins for benchmarking.
@@ -203,21 +204,23 @@ func BenchmarkReconcilePA(b *testing.B) {
 	edges := float64(inst.g1.NumEdges() + inst.g2.NumEdges())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := reconcile.Reconcile(inst.g1, inst.g2, inst.seeds, opts); err != nil {
+		if _, err := runOnce(inst.g1, inst.g2, inst.seeds, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ReportMetric(edges, "edges")
 }
 
-// BenchmarkReconcileSequential is the single-threaded reference cost.
+// BenchmarkReconcileSequential is the single-threaded reference cost: the
+// parallel engine on one worker.
 func BenchmarkReconcileSequential(b *testing.B) {
 	inst := makeInstance(10000, 10)
 	opts := reconcile.DefaultOptions()
-	opts.Engine = reconcile.EngineSequential
+	opts.Engine = reconcile.EngineParallel
+	opts.Workers = 1
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := reconcile.Reconcile(inst.g1, inst.g2, inst.seeds, opts); err != nil {
+		if _, err := runOnce(inst.g1, inst.g2, inst.seeds, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -231,7 +234,7 @@ func BenchmarkReconcileParallel(b *testing.B) {
 	opts.Engine = reconcile.EngineParallel
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := reconcile.Reconcile(inst.g1, inst.g2, inst.seeds, opts); err != nil {
+		if _, err := runOnce(inst.g1, inst.g2, inst.seeds, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -248,7 +251,7 @@ func BenchmarkReconcileFrontier(b *testing.B) {
 	opts.Engine = reconcile.EngineFrontier
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := reconcile.Reconcile(inst.g1, inst.g2, inst.seeds, opts); err != nil {
+		if _, err := runOnce(inst.g1, inst.g2, inst.seeds, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -265,7 +268,7 @@ func BenchmarkReconcileHybrid(b *testing.B) {
 	opts.Engine = reconcile.EngineHybrid
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := reconcile.Reconcile(inst.g1, inst.g2, inst.seeds, opts); err != nil {
+		if _, err := runOnce(inst.g1, inst.g2, inst.seeds, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -384,7 +387,7 @@ func BenchmarkReconcileMapReduce(b *testing.B) {
 	opts := reconcile.DefaultOptions()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := reconcile.ReconcileMapReduce(inst.g1, inst.g2, inst.seeds, opts); err != nil {
+		if _, err := mapreduce.Reconcile(inst.g1, inst.g2, inst.seeds, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -480,7 +483,7 @@ func BenchmarkReconcileAdamicAdar(b *testing.B) {
 	opts.Scoring = reconcile.ScoreAdamicAdar
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := reconcile.Reconcile(inst.g1, inst.g2, inst.seeds, opts); err != nil {
+		if _, err := runOnce(inst.g1, inst.g2, inst.seeds, opts); err != nil {
 			b.Fatal(err)
 		}
 	}

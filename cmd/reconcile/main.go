@@ -8,7 +8,10 @@
 //
 // -timeout bounds the whole run (the matcher stops at the next bucket
 // boundary and the command exits non-zero); -progress streams per-bucket
-// statistics to stderr.
+// statistics to stderr. -engine mapreduce runs the paper's MapReduce
+// formulation (internal/mapreduce), which honors neither; it writes the same
+// links as the in-core engines. -engine parallel -workers 1 is the
+// single-threaded reference.
 //
 // Graph files are SNAP-style edge lists ("u v" per line, '#' comments).
 // Node IDs may be arbitrary; they are densified per file, and the seed file
@@ -26,6 +29,7 @@ import (
 	"time"
 
 	"github.com/sociograph/reconcile"
+	"github.com/sociograph/reconcile/internal/mapreduce"
 )
 
 func main() {
@@ -35,7 +39,7 @@ func main() {
 		seedsPath  = flag.String("seeds", "", "seed links file: 'id1 id2' per line in original IDs (required)")
 		threshold  = flag.Int("threshold", 2, "minimum matching score T")
 		iterations = flag.Int("iterations", 2, "number of sweeps k")
-		engine     = flag.String("engine", "hybrid", "engine: hybrid, frontier, parallel, sequential, mapreduce (all produce identical links)")
+		engine     = flag.String("engine", "hybrid", "engine: hybrid, frontier, parallel, mapreduce (all produce identical links)")
 		workers    = flag.Int("workers", 0, "goroutines (0 = GOMAXPROCS)")
 		noBuckets  = flag.Bool("no-bucketing", false, "disable the degree bucketing schedule (ablation)")
 		ties       = flag.String("ties", "reject", "tie policy: reject (conservative) or lowest-id (greedy)")
@@ -97,19 +101,27 @@ func main() {
 		defer cancel()
 	}
 
-	var res *reconcile.Result
 	switch *engine {
-	case "hybrid", "frontier", "parallel", "sequential":
-		switch *engine {
-		case "hybrid":
-			opts.Engine = reconcile.EngineHybrid
-		case "frontier":
-			opts.Engine = reconcile.EngineFrontier
-		case "parallel":
-			opts.Engine = reconcile.EngineParallel
-		case "sequential":
-			opts.Engine = reconcile.EngineSequential
+	case "hybrid":
+		opts.Engine = reconcile.EngineHybrid
+	case "frontier":
+		opts.Engine = reconcile.EngineFrontier
+	case "parallel":
+		opts.Engine = reconcile.EngineParallel
+	case "mapreduce":
+	default:
+		fatal(fmt.Errorf("unknown engine %q", *engine))
+	}
+
+	var res *reconcile.Result
+	if *engine == "mapreduce" {
+		// The MapReduce formulation is batch-only: -timeout and -progress
+		// do not apply.
+		if *progress || *timeout > 0 {
+			fmt.Fprintln(os.Stderr, "reconcile: note: -progress and -timeout are not honored by the mapreduce engine")
 		}
+		res, err = mapreduce.Reconcile(g1, g2, seeds, opts)
+	} else {
 		ropts := []reconcile.Option{reconcile.WithOptions(opts), reconcile.WithSeeds(seeds)}
 		if *progress {
 			start := time.Now()
@@ -128,15 +140,6 @@ func main() {
 				*timeout, len(res.Pairs), len(res.NewPairs))
 			os.Exit(1)
 		}
-	case "mapreduce":
-		// The MapReduce formulation is batch-only: -timeout and -progress
-		// do not apply.
-		if *progress || *timeout > 0 {
-			fmt.Fprintln(os.Stderr, "reconcile: note: -progress and -timeout are not honored by the mapreduce engine")
-		}
-		res, err = reconcile.ReconcileMapReduce(g1, g2, seeds, opts)
-	default:
-		fatal(fmt.Errorf("unknown engine %q", *engine))
 	}
 	if err != nil {
 		fatal(err)

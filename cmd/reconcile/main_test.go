@@ -69,7 +69,8 @@ func TestLoadGraph(t *testing.T) {
 }
 
 // End-to-end: generate an instance, write it to disk, run the built binary,
-// check the output links.
+// check the output links. The MapReduce formulation must write a
+// byte-identical links file, and a retired engine name must be refused.
 func TestReconcileEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles a binary")
@@ -141,6 +142,28 @@ func TestReconcileEndToEnd(t *testing.T) {
 	}
 	if bad*20 > good {
 		t.Fatalf("output quality: %d good, %d bad", good, bad)
+	}
+
+	mrPath := filepath.Join(dir, "links-mapreduce.txt")
+	cmd = exec.Command(bin, "-g1", p1, "-g2", p2, "-seeds", ps, "-threshold", "2", "-engine", "mapreduce", "-out", mrPath)
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("running -engine mapreduce: %v\n%s", err, out)
+	}
+	mrData, err := os.ReadFile(mrPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(mrData) != string(data) {
+		t.Fatal("-engine mapreduce links differ from the default engine's")
+	}
+
+	cmd = exec.Command(bin, "-g1", p1, "-g2", p2, "-seeds", ps, "-engine", "sequential")
+	out, err := cmd.CombinedOutput()
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() == 0 {
+		t.Fatalf("-engine sequential: err = %v, want non-zero exit\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "unknown engine") {
+		t.Fatalf("-engine sequential: no \"unknown engine\" message:\n%s", out)
 	}
 }
 

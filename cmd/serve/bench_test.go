@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"github.com/sociograph/reconcile"
+	"github.com/sociograph/reconcile/internal/tenant"
 )
 
 // BenchmarkStoreCheckpoint measures the store's per-checkpoint cost under
@@ -54,7 +55,7 @@ func BenchmarkStoreCheckpoint(b *testing.B) {
 					if _, err := rec.RunUntilStable(context.Background(), 10); err != nil {
 						b.Fatal(err)
 					}
-					js := st.jobStore(id)
+					js := st.tenant(tenant.Default).jobStore(id)
 					if err := js.saveGraphs(g1, g2); err != nil {
 						b.Fatal(err)
 					}
@@ -118,7 +119,7 @@ func benchRecoveryChain(b *testing.B, cfg storeConfig) *store {
 	if err != nil {
 		b.Fatal(err)
 	}
-	js := st.jobStore("job-1")
+	js := st.tenant(tenant.Default).jobStore("job-1")
 	if err := js.saveGraphs(g1, g2); err != nil {
 		b.Fatal(err)
 	}

@@ -20,9 +20,9 @@
 // never-interrupted run. Jobs hash across -shards directories per tenant
 // (independent fsync domains), a full snapshot anchors every
 // -full-every-th checkpoint, and the last -keep full chains are retained
-// per job. Pre-tenant -data-dir layouts (flat or root-sharded) migrate
-// automatically into the default tenant's root at boot. Without -data-dir
-// jobs live in RAM only.
+// per job. A -data-dir whose root holds shard-NN directories or job files
+// (a layout from before per-tenant roots) is refused at boot with an error
+// naming the path. Without -data-dir jobs live in RAM only.
 //
 // With -mmap (the default where the platform supports it) new jobs' graphs
 // are written in the mappable container format and every job's graphs are
@@ -30,7 +30,7 @@
 // immutable CSR arrays in on demand instead of re-decoding them onto the
 // heap, and concurrent processes share one page-cache copy. Either setting
 // reads graph files written under the other, so -mmap can be flipped over
-// an existing data directory without migration (legacy files are decoded
+// an existing data directory (graph files in the heap format are decoded
 // onto the heap behind the same lifetime API). -range-nodes shards the
 // checkpoint state of large jobs: a job whose graphs total more than
 // -range-nodes nodes checkpoints as per-node-range shard files plus a small
@@ -96,8 +96,9 @@
 // Graphs are submitted as {"nodes": n, "edges": [[u, v], ...]} with dense
 // 0-based IDs; seeds and returned pairs are [left, right] arrays. Options
 // mirror the functional options of the Go API: threshold, iterations,
-// engine ("hybrid"/"frontier"/"parallel"/"sequential" — identical output, see
-// DESIGN.md for the scheduling difference), scoring ("count"/"adamic-adar"),
+// engine ("hybrid"/"frontier"/"parallel" — identical output, see DESIGN.md
+// for the scheduling difference; "parallel" with workers 1 is the
+// single-threaded reference), scoring ("count"/"adamic-adar"),
 // ties ("reject"/"lowest-id"), workers, margin, bucketing, minBucketExp,
 // maxDegree. Request bodies beyond -max-body-bytes are refused with 413.
 //

@@ -44,7 +44,7 @@ type graphSpec struct {
 type optionsSpec struct {
 	Threshold    *int   `json:"threshold,omitempty"`
 	Iterations   *int   `json:"iterations,omitempty"`
-	Engine       string `json:"engine,omitempty"`  // "hybrid" | "frontier" | "parallel" | "sequential"
+	Engine       string `json:"engine,omitempty"`  // "hybrid" | "frontier" | "parallel"
 	Scoring      string `json:"scoring,omitempty"` // "count" | "adamic-adar"
 	Ties         string `json:"ties,omitempty"`    // "reject" | "lowest-id"
 	Workers      *int   `json:"workers,omitempty"`
@@ -685,8 +685,6 @@ func buildOptions(spec optionsSpec) ([]reconcile.Option, error) {
 		opts = append(opts, reconcile.WithEngine(reconcile.EngineFrontier))
 	case "parallel":
 		opts = append(opts, reconcile.WithEngine(reconcile.EngineParallel))
-	case "sequential":
-		opts = append(opts, reconcile.WithEngine(reconcile.EngineSequential))
 	default:
 		return nil, fmt.Errorf("unknown engine %q", spec.Engine)
 	}
@@ -768,10 +766,10 @@ func toPairs(raw [][2]int, n1, n2 int) ([]reconcile.Pair, error) {
 
 // runJob drives one admitted run on its own goroutine: wait for a fair
 // run slot (queued runs still read as "running" over the API — the queue
-// position is a scheduling detail), run, finish. The job-quota slot
-// acquired at admission is released in finish. Callers must hold j.mu, so
-// pending.Add is ordered before any deleteJob's pending.Wait (which takes
-// j.mu to set the deleted flag first).
+// position is a scheduling detail), run, release the run slot, finish. The
+// job-quota slot acquired at admission is released in finish. Callers must
+// hold j.mu, so pending.Add is ordered before any deleteJob's pending.Wait
+// (which takes j.mu to set the deleted flag first).
 func (s *server) runJob(ctx context.Context, cancel context.CancelFunc, j *job, run func(context.Context) error) {
 	j.pending.Add(1)
 	go func() {
@@ -784,14 +782,18 @@ func (s *server) runJob(ctx context.Context, cancel context.CancelFunc, j *job, 
 			j.finish(err) // cancelled (or shut down) while queued
 			return
 		}
-		defer release()
+		// The graph pin holds until the final checkpoint is written; err
+		// stays set when the mappings are already closed (the job is being
+		// deleted).
 		unpin, err := j.pinGraphs()
-		if err != nil {
-			j.finish(err) // mappings already closed: the job is being deleted
-			return
+		if err == nil {
+			defer unpin()
+			err = run(ctx)
 		}
-		defer unpin()
-		j.finish(run(ctx))
+		// Free the run slot before finish publishes the terminal status: a
+		// client that reads "done" must find the slot released.
+		release()
+		j.finish(err)
 	}()
 }
 

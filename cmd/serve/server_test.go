@@ -6,10 +6,12 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
 	"github.com/sociograph/reconcile"
+	"github.com/sociograph/reconcile/internal/tenant"
 )
 
 // testInstance builds a reconciliation instance in wire form: a PA graph,
@@ -241,13 +243,16 @@ func TestServeValidation(t *testing.T) {
 		t.Errorf("malformed body: status %d", resp.StatusCode)
 	}
 
-	// Unknown engine.
+	// Unknown engines, the retired "sequential" among them: a 400 with a
+	// JSON error.
 	req := testInstance(t, 50, 0.2)
-	req.Options.Engine = "quantum"
-	resp = postJSON(t, ts.URL+"/v1/jobs", req)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("unknown engine: status %d", resp.StatusCode)
+	for _, engine := range []string{"quantum", "sequential"} {
+		req.Options.Engine = engine
+		resp = postJSON(t, ts.URL+"/v1/jobs", req)
+		body := decode[map[string]string](t, resp)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(body["error"], "unknown engine") {
+			t.Errorf("engine %q: status %d body %v, want 400 unknown engine", engine, resp.StatusCode, body)
+		}
 	}
 
 	// Out-of-range edge.
@@ -400,8 +405,13 @@ func TestServeEngineSelection(t *testing.T) {
 
 	req := testInstance(t, 400, 0.2)
 	counts := map[string]int{}
+	one := 1
 	for _, engine := range []string{"hybrid", "frontier", "parallel", "sequential"} {
-		req.Options.Engine = engine
+		// The sequential reference is the parallel engine on one worker.
+		req.Options.Engine, req.Options.Workers = engine, nil
+		if engine == "sequential" {
+			req.Options.Engine, req.Options.Workers = "parallel", &one
+		}
 		resp := postJSON(t, ts.URL+"/v1/jobs", req)
 		if resp.StatusCode != http.StatusAccepted {
 			t.Fatalf("engine %q: status %d", engine, resp.StatusCode)
@@ -418,5 +428,35 @@ func TestServeEngineSelection(t *testing.T) {
 	}
 	if counts["frontier"] != counts["sequential"] || counts["parallel"] != counts["sequential"] {
 		t.Fatalf("engines disagree over HTTP: %v", counts)
+	}
+}
+
+// TestRunSlotFreeWhenDone pins the order of a run's teardown: the
+// scheduler slot is released before the terminal status is published, so
+// the first poll that reads a terminal status finds the tenant holding no
+// run slot. Jobs are polled in-process in a tight loop, so the usage read
+// lands as close behind the status change as it can.
+func TestRunSlotFreeWhenDone(t *testing.T) {
+	s := newTestServer(t, nil)
+	ts := httptest.NewServer(s.handler())
+	defer ts.Close()
+	def := s.reg.Get(tenant.Default)
+	req := testInstance(t, 150, 0.3)
+	for i := 0; i < 20; i++ {
+		resp := postJSON(t, ts.URL+"/v1/jobs", req)
+		id := decode[map[string]string](t, resp)["id"]
+		s.mu.Lock()
+		j := s.jobs[id]
+		s.mu.Unlock()
+		status := j.view(false).Status
+		for status == statusRunning {
+			status = j.view(false).Status
+		}
+		if slots := s.adminTenantView(def, false).Usage.RunSlots; slots != 0 {
+			t.Fatalf("job %s: status %q observed with %d run slots held", id, status, slots)
+		}
+		if status != statusDone {
+			t.Fatalf("job %s: status %q", id, status)
+		}
 	}
 }

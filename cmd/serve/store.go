@@ -58,12 +58,8 @@ import (
 //
 // Every write is atomic — a temp file in the same directory, fsynced,
 // renamed, directory fsynced — so a crash mid-checkpoint leaves the
-// previous chain intact. Pre-tenant layouts migrate automatically: a
-// -data-dir whose root still holds shard-NN directories or flat job files
-// (the PR 3/4 layouts) has them moved under default/ at open, after which
-// the old read-compatibility paths keep working inside the default root
-// (legacy flat jobs load from their .state snapshot and move onto chain
-// checkpoints, which retire the .state file, on their first write).
+// previous chain intact. A -data-dir whose root holds shard-NN directories
+// or job files (a layout from before per-tenant roots) is refused at open.
 type store struct {
 	root string
 	cfg  storeConfig
@@ -125,81 +121,34 @@ func newStore(dir string, cfg storeConfig) (*store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	if err := st.migrateLegacy(); err != nil {
-		return nil, fmt.Errorf("store: migrating pre-tenant layout: %w", err)
+	if err := st.checkLayout(); err != nil {
+		return nil, fmt.Errorf("store: %w", err)
 	}
 	return st, nil
 }
 
-// migrateLegacy moves a pre-tenant -data-dir layout under the default
-// tenant's root: shard-NN directories and flat job files that used to live
-// at the top level belong to default/ now. Renames within one filesystem
-// are cheap and leave file contents untouched, so chains stay replayable
-// byte for byte. A partially migrated dir (crash mid-migration) is fine:
-// migration is idempotent and merges into an existing default/.
-func (st *store) migrateLegacy() error {
+// checkLayout refuses a data dir laid out before per-tenant roots, naming
+// the first offending path: a "shard-*" directory or a job file directly
+// under the root. No such layout was ever deployed, so there is nothing to
+// migrate; the current layout keeps only tenant roots there. Orphaned temp
+// files at the root are swept.
+func (st *store) checkLayout() error {
 	entries, err := os.ReadDir(st.root)
 	if err != nil {
 		return err
 	}
-	var legacy []os.DirEntry
 	for _, e := range entries {
-		if e.IsDir() {
-			if strings.HasPrefix(e.Name(), "shard-") {
-				legacy = append(legacy, e)
-			}
-			continue
-		}
-		if strings.Contains(e.Name(), ".tmp-") {
-			os.Remove(filepath.Join(st.root, e.Name())) // orphaned temp file
-			continue
-		}
-		legacy = append(legacy, e)
-	}
-	if len(legacy) == 0 {
-		return nil
-	}
-	defRoot := filepath.Join(st.root, tenant.Default)
-	if err := os.MkdirAll(defRoot, 0o755); err != nil {
-		return err
-	}
-	for _, e := range legacy {
-		src := filepath.Join(st.root, e.Name())
-		dst := filepath.Join(defRoot, e.Name())
-		if err := moveMerge(src, dst); err != nil {
-			return err
+		path := filepath.Join(st.root, e.Name())
+		switch {
+		case e.IsDir() && !strings.HasPrefix(e.Name(), "shard-"):
+			// A tenant root, or a stray directory tenantNames skips.
+		case !e.IsDir() && strings.Contains(e.Name(), ".tmp-"):
+			os.Remove(path) // orphaned temp file
+		default:
+			return fmt.Errorf("%s: unsupported pre-tenant data dir layout (jobs belong under a tenant root such as %s)", path, filepath.Join(st.root, tenant.Default))
 		}
 	}
-	return syncDir(st.root)
-}
-
-// moveMerge renames src to dst; when dst is an existing directory the
-// contents are merged file by file (a re-run after a crash mid-migration,
-// or a shard dir that already exists under default/).
-func moveMerge(src, dst string) error {
-	if _, err := os.Stat(dst); os.IsNotExist(err) {
-		//lint:allow atomic-write migration renames already-durable files within one filesystem; there is no torn-write window and migrateLegacy fsyncs the affected directories afterwards
-		return os.Rename(src, dst)
-	}
-	fi, err := os.Stat(src)
-	if err != nil {
-		return err
-	}
-	if !fi.IsDir() {
-		// Overwrite a half-moved file.
-		//lint:allow atomic-write migration re-run after a crash: both names hold the same already-durable bytes, so either outcome of the rename is consistent
-		return os.Rename(src, dst)
-	}
-	entries, err := os.ReadDir(src)
-	if err != nil {
-		return err
-	}
-	for _, e := range entries {
-		if err := moveMerge(filepath.Join(src, e.Name()), filepath.Join(dst, e.Name())); err != nil {
-			return err
-		}
-	}
-	return os.Remove(src)
+	return nil
 }
 
 // tenantNames lists the tenant roots present on disk, sorted. Directories
@@ -266,9 +215,9 @@ type tenantStore struct {
 	root  string
 	// shardDirs are the placement targets for new jobs, len == cfg.shards.
 	shardDirs []string
-	// bytes is the durable footprint under root: graphs, chain records,
-	// metas and legacy .state files. Rebuilt by a walk at boot
-	// (recountBytes), adjusted incrementally by tracked writes/removes.
+	// bytes is the durable footprint under root: graphs, chain records and
+	// metas. Rebuilt by a walk at boot (recountBytes), adjusted
+	// incrementally by tracked writes/removes.
 	bytes atomic.Int64
 }
 
@@ -329,12 +278,6 @@ func (ts *tenantStore) jobStore(id string) *jobStore {
 	h := fnv.New32a()
 	h.Write([]byte(id))
 	return &jobStore{ts: ts, id: id, dir: ts.shardDirs[h.Sum32()%uint32(len(ts.shardDirs))]}
-}
-
-// jobStore returns the default tenant's handle for a job — the pre-tenancy
-// call surface, kept for the store suites and single-tenant tooling.
-func (st *store) jobStore(id string) *jobStore {
-	return st.tenant(tenant.Default).jobStore(id)
 }
 
 // jobMeta is the JSON sidecar of a persisted job: everything the server
@@ -665,15 +608,15 @@ func (js *jobStore) releaseBase() {
 	js.haveBase = false
 }
 
-// purge deletes every durable record of the job — chain, graphs, meta and
-// any legacy .state — crediting the bytes back to the tenant. Used by
-// DELETE /v1/.../jobs/{id}; the caller guarantees no run goroutine is
-// still driving the job.
+// purge deletes every durable record of the job — chain, graphs and meta —
+// crediting the bytes back to the tenant. Used by DELETE
+// /v1/.../jobs/{id}; the caller guarantees no run goroutine is still
+// driving the job.
 func (js *jobStore) purge() {
 	for _, rec := range js.listChain() {
 		js.removeTracked(rec.path)
 	}
-	for _, suffix := range []string{".g1", ".g2", ".state", ".meta.json"} {
+	for _, suffix := range []string{".g1", ".g2", ".meta.json"} {
 		js.removeTracked(js.path(suffix))
 	}
 }
@@ -778,9 +721,8 @@ func groupChain(records []chainRecord) []seqGroup {
 }
 
 // retireOld enforces keep-last-K retention: chain records older than the
-// K-th newest full snapshot are deleted, as is a legacy flat .state file
-// once a chain full supersedes it. Called after each new full and once per
-// job on boot.
+// K-th newest full snapshot are deleted. Called after each new full and once
+// per job on boot.
 func (js *jobStore) retireOld() {
 	records := js.listChain()
 	groups := groupChain(records)
@@ -793,18 +735,15 @@ func (js *jobStore) retireOld() {
 			fullSeqs = append(fullSeqs, g.seq)
 		}
 	}
-	if len(fullSeqs) == 0 {
+	if len(fullSeqs) <= js.ts.store.cfg.keep {
 		return
 	}
-	if len(fullSeqs) > js.ts.store.cfg.keep {
-		minKeep := fullSeqs[len(fullSeqs)-js.ts.store.cfg.keep]
-		for _, rec := range records {
-			if rec.seq < minKeep {
-				js.removeTracked(rec.path)
-			}
+	minKeep := fullSeqs[len(fullSeqs)-js.ts.store.cfg.keep]
+	for _, rec := range records {
+		if rec.seq < minKeep {
+			js.removeTracked(rec.path)
 		}
 	}
-	js.removeTracked(js.path(".state")) // pre-shard layout, superseded by the chain
 }
 
 // recoverState replays the job's chain: the newest readable full checkpoint
@@ -812,8 +751,7 @@ func (js *jobStore) retireOld() {
 // contiguous, applicable checkpoints that follow it. dropped counts the
 // checkpoints past the replayed prefix (corrupt, gapped, torn, or built on
 // a corrupt full) — zero means the restored state is the newest durable
-// checkpoint. With no readable chain it falls back to a legacy flat .state
-// snapshot.
+// checkpoint.
 func (js *jobStore) recoverState() (st *reconcile.SessionState, dropped int, err error) {
 	groups := groupChain(js.listChain())
 	var firstErr error
@@ -842,20 +780,10 @@ func (js *jobStore) recoverState() (st *reconcile.SessionState, dropped int, err
 		}
 		return st, dropped, nil
 	}
-	// No readable full: the pre-shard flat layout kept a single .state file.
-	raw, rerr := os.Open(js.path(".state"))
-	if rerr != nil {
-		if firstErr != nil {
-			return nil, 0, firstErr
-		}
-		return nil, 0, fmt.Errorf("no readable checkpoint: %w", rerr)
+	if firstErr != nil {
+		return nil, 0, firstErr
 	}
-	defer raw.Close()
-	st, err = reconcile.ReadSessionState(raw)
-	if err != nil {
-		return nil, 0, fmt.Errorf("legacy state: %w", err)
-	}
-	return st, len(groups), nil
+	return nil, 0, errors.New("no readable checkpoint")
 }
 
 // replayMonoFrom reads the monolithic full at groups[i] and applies the
@@ -1016,15 +944,15 @@ func (p *persisted) closeMapped() {
 }
 
 // loadAll reads every fully-persisted job, in creation order per tenant,
-// walking each tenant root (flat pre-shard layouts migrate here) and every
-// shard directory beneath it. Jobs whose files are incomplete or unreadable
-// (e.g. a crash between submission and the first checkpoint, or a snapshot
-// from a newer format version) are skipped and reported in the last return
-// value. maxNum maps each tenant to the highest job number present anywhere
-// under its root — including skipped jobs, whose number is recovered from
-// the "job-N" filename — so new submissions never reuse a skipped job's ID
-// and overwrite files a newer binary could still recover. As a side effect
-// each tenant's durable-byte accounting is rebuilt from a walk.
+// walking every shard directory of each tenant root. Jobs whose files are
+// incomplete or unreadable (e.g. a crash between submission and the first
+// checkpoint, or a snapshot of another format version) are skipped and
+// reported in the last return value. maxNum maps each tenant to the
+// highest job number present anywhere under its root — including skipped
+// jobs, whose number is recovered from the "job-N" filename — so new
+// submissions never reuse a skipped job's ID and overwrite files a newer
+// binary could still recover. As a side effect each tenant's durable-byte
+// accounting is rebuilt from a walk.
 func (st *store) loadAll() (out []persisted, maxNum map[string]int, skipped []error) {
 	maxNum = make(map[string]int)
 	names, skipped := st.tenantNames()
@@ -1032,7 +960,7 @@ func (st *store) loadAll() (out []persisted, maxNum map[string]int, skipped []er
 		ts := st.tenant(name)
 		ts.recountBytes()
 		seen := map[string]string{}
-		for _, dir := range append([]string{ts.root}, ts.allShardDirs()...) {
+		for _, dir := range ts.allShardDirs() {
 			metas, err := filepath.Glob(filepath.Join(dir, "*.meta.json"))
 			if err != nil {
 				skipped = append(skipped, err)

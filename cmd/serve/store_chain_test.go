@@ -37,7 +37,7 @@ func chainVictim(t *testing.T, st *store, id string, iterations, sweeps int) (wa
 		t.Fatal(err)
 	}
 
-	js := st.jobStore(id)
+	js := st.tenant(tenant.Default).jobStore(id)
 	if err := js.saveGraphs(g1, g2); err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func resumeAndVerify(t *testing.T, st *store, id string, want *reconcile.Result)
 func TestStoreRecoveryCorruptTrailingDelta(t *testing.T) {
 	st := newTestStore(t)
 	want := chainVictim(t, st, "job-1", 6, 5)
-	js := st.jobStore("job-1")
+	js := st.tenant(tenant.Default).jobStore("job-1")
 	// fullEvery=3: expect full, delta, delta, full, delta.
 	files := chainFiles(t, js)
 	if len(files) != 5 || !strings.HasSuffix(files[4], ".delta") {
@@ -152,7 +152,7 @@ func TestStoreRecoveryCorruptTrailingDelta(t *testing.T) {
 func TestStoreRecoveryTruncatedTrailingDelta(t *testing.T) {
 	st := newTestStore(t)
 	want := chainVictim(t, st, "job-1", 6, 5)
-	js := st.jobStore("job-1")
+	js := st.tenant(tenant.Default).jobStore("job-1")
 	records := js.listChain()
 	trailing := records[len(records)-1].path
 	raw, err := os.ReadFile(trailing)
@@ -170,7 +170,7 @@ func TestStoreRecoveryTruncatedTrailingDelta(t *testing.T) {
 func TestStoreRecoveryMissingDelta(t *testing.T) {
 	st := newTestStore(t)
 	want := chainVictim(t, st, "job-1", 6, 3)
-	js := st.jobStore("job-1")
+	js := st.tenant(tenant.Default).jobStore("job-1")
 	// Chain is full(1), delta(2), delta(3); removing delta(2) leaves
 	// delta(3) unreachable — recovery must stop at the full.
 	records := js.listChain()
@@ -189,7 +189,7 @@ func TestStoreRecoveryMissingDelta(t *testing.T) {
 func TestStoreRecoveryCorruptFull(t *testing.T) {
 	st := newTestStore(t)
 	want := chainVictim(t, st, "job-1", 6, 5)
-	js := st.jobStore("job-1")
+	js := st.tenant(tenant.Default).jobStore("job-1")
 	records := js.listChain()
 	var newestFull chainRecord
 	for _, rec := range records {
@@ -219,7 +219,7 @@ func TestStoreRecoveryCorruptFull(t *testing.T) {
 func TestStoreRecoveryFallbackSurvivesRestarts(t *testing.T) {
 	st := newTestStore(t)
 	want := chainVictim(t, st, "job-1", 6, 5)
-	js := st.jobStore("job-1")
+	js := st.tenant(tenant.Default).jobStore("job-1")
 	records := js.listChain()
 	for _, rec := range records {
 		if rec.full && rec.seq > 1 {
@@ -254,7 +254,7 @@ func TestStoreRecoveryFallbackSurvivesRestarts(t *testing.T) {
 func TestStoreRecoveryCorruptionMarksDoneJobInterrupted(t *testing.T) {
 	st := newTestStore(t)
 	want := chainVictim(t, st, "job-1", 6, 5)
-	js := st.jobStore("job-1")
+	js := st.tenant(tenant.Default).jobStore("job-1")
 	meta := jobMeta{ID: "job-1", Num: 1, Status: statusDone, Seeds: want.Seeds}
 	if err := atomicWriteJSON(js.path(".meta.json"), meta); err != nil {
 		t.Fatal(err)
@@ -287,7 +287,7 @@ func atomicWriteJSON(path string, v jobMeta) error {
 func TestStoreRetention(t *testing.T) {
 	st := newTestStore(t)
 	want := chainVictim(t, st, "job-1", 14, 13) // 13 records: fulls at 1,4,7,10,13
-	js := st.jobStore("job-1")
+	js := st.tenant(tenant.Default).jobStore("job-1")
 	records := js.listChain()
 	fulls := 0
 	for _, rec := range records {
@@ -331,7 +331,7 @@ func TestStoreShardPlacement(t *testing.T) {
 	dirsUsed := map[string]bool{}
 	for _, id := range ids {
 		waitForJob(t, ts.URL, id)
-		js := st.jobStore(id)
+		js := st.tenant(tenant.Default).jobStore(id)
 		if !strings.HasPrefix(filepath.Base(js.dir), "shard-") {
 			t.Fatalf("job %s placed outside a shard: %s", id, js.dir)
 		}
@@ -397,10 +397,9 @@ func TestStoreReleasesBaseWhenIdle(t *testing.T) {
 	}
 }
 
-// TestStoreLegacyFlatLayout pins the migration contract: a pre-shard flat
-// -data-dir (graphs + one .state + meta in the root) is auto-detected and
-// read-compatible, and the job's first new checkpoint moves it onto a chain
-// that supersedes the .state file.
+// TestStoreLegacyFlatLayout pins the refusal of a pre-shard flat -data-dir
+// (graphs, one .state snapshot and a meta directly in the root): newStore
+// fails with an error naming a root job file, and removes nothing.
 func TestStoreLegacyFlatLayout(t *testing.T) {
 	dir := t.TempDir()
 	req := testInstance(t, 300, 0.2)
@@ -414,7 +413,7 @@ func TestStoreLegacyFlatLayout(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Write the PR 3 flat layout by hand: <root>/<id>.{g1,g2,state,meta.json}.
+	// The flat layout: <root>/<id>.{g1,g2,state,meta.json}.
 	writeFile := func(name string, write func(*os.File) error) {
 		t.Helper()
 		f, err := os.Create(filepath.Join(dir, name))
@@ -436,47 +435,14 @@ func TestStoreLegacyFlatLayout(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st, err := newStore(dir, testStoreConfig)
-	if err != nil {
-		t.Fatal(err)
+	_, err = newStore(dir, testStoreConfig)
+	if err == nil || !strings.Contains(err.Error(), filepath.Join(dir, "job-1.")) {
+		t.Fatalf("newStore on a flat layout: err = %v, want a refusal naming a root job file", err)
 	}
-	ts := httptest.NewServer(newTestServer(t, st).handler())
-	v := jobPairs(t, ts.URL, "job-1")
-	if v.Status != statusDone || v.Links != len(res.Pairs) {
-		t.Fatalf("legacy job loaded as %q with %d links, want done with %d", v.Status, v.Links, len(res.Pairs))
-	}
-
-	// Migration moved the flat files under the default tenant's root.
-	if _, err := os.Stat(filepath.Join(dir, "job-1.state")); !os.IsNotExist(err) {
-		t.Fatalf("flat .state not migrated out of the data-dir root (err=%v)", err)
-	}
-
-	// Its first new checkpoint starts a chain in the tenant root and
-	// retires the .state file.
-	resp := postJSON(t, ts.URL+"/v1/jobs/job-1/checkpoint", nil)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("checkpoint of legacy job: status %d", resp.StatusCode)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "default", "job-1.state")); !os.IsNotExist(err) {
-		t.Fatalf(".state not retired after chain checkpoint (err=%v)", err)
-	}
-	chain, err := filepath.Glob(filepath.Join(dir, "default", "job-1.ckpt-*"))
-	if err != nil || len(chain) == 0 {
-		t.Fatalf("no chain records in the tenant root for the legacy job (err=%v)", err)
-	}
-	ts.Close()
-
-	// And it survives another restart from the chain alone.
-	st2, err := newStore(dir, testStoreConfig)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts2 := httptest.NewServer(newTestServer(t, st2).handler())
-	defer ts2.Close()
-	v = jobPairs(t, ts2.URL, "job-1")
-	if v.Status != statusDone || v.Links != len(res.Pairs) {
-		t.Fatalf("migrated job reloaded as %q with %d links, want done with %d", v.Status, v.Links, len(res.Pairs))
+	for _, name := range []string{"job-1.g1", "job-1.g2", "job-1.state", "job-1.meta.json"} {
+		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+			t.Fatalf("refused store touched %s: %v", name, err)
+		}
 	}
 }
 
@@ -484,7 +450,7 @@ func TestStoreLegacyFlatLayout(t *testing.T) {
 // quota system depends on: the incrementally maintained per-tenant counter
 // equals a fresh walk of the tenant root after every path that moves bytes
 // — graph writes, delta and full checkpoints, retention compaction, failed
-// writes, legacy .state retirement, and purge. Aggressive chain settings
+// writes, and purge. Aggressive chain settings
 // (fullEvery 2, keep 1) make compaction fire constantly.
 func TestStoreByteAccountingInvariant(t *testing.T) {
 	st, err := newStore(t.TempDir(), storeConfig{shards: 2, fullEvery: 2, keep: 1})
@@ -510,36 +476,14 @@ func TestStoreByteAccountingInvariant(t *testing.T) {
 
 	// A write that fails before its rename moves nothing: the old file (or
 	// its absence) is still what is on disk.
-	js := st.jobStore("job-1")
+	js := st.tenant(tenant.Default).jobStore("job-1")
 	boom := errors.New("boom")
 	if err := js.writeTracked(js.path(".probe"), func(*os.File) error { return boom }); !errors.Is(err, boom) {
 		t.Fatalf("failed write returned %v, want boom", err)
 	}
 	check("after failed write")
 
-	// Legacy flat layout: a pre-shard .state lands in the counter via the
-	// boot walk, then a chain full supersedes it and retireOld removes it.
-	legacyState := filepath.Join(ts.root, "job-9.state")
-	if err := os.WriteFile(legacyState, []byte("legacy snapshot bytes"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	ts.recountBytes()
-	check("after legacy .state boot walk")
-	js9 := &jobStore{ts: ts, dir: ts.root, id: "job-9"}
-	if err := js9.writeTracked(js9.chainPath(1, "full"), func(f *os.File) error {
-		_, err := f.Write([]byte("full record"))
-		return err
-	}); err != nil {
-		t.Fatal(err)
-	}
-	js9.retireOld()
-	if _, err := os.Stat(legacyState); !os.IsNotExist(err) {
-		t.Fatalf(".state not retired (err=%v)", err)
-	}
-	check("after legacy retirement")
-
 	// Purge credits everything back.
-	st.jobStore("job-2").purge()
-	js9.purge()
+	st.tenant(tenant.Default).jobStore("job-2").purge()
 	check("after purges")
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"github.com/sociograph/reconcile"
+	"github.com/sociograph/reconcile/internal/tenant"
 )
 
 // rangedStoreConfig shards the chain state of the 800-node test instance
@@ -33,7 +34,7 @@ func newRangedStore(t *testing.T) *store {
 func TestStoreRangedChainShape(t *testing.T) {
 	st := newRangedStore(t)
 	chainVictim(t, st, "job-1", 6, 5)
-	js := st.jobStore("job-1")
+	js := st.tenant(tenant.Default).jobStore("job-1")
 
 	groups := groupChain(js.listChain())
 	if len(groups) != 5 {
@@ -93,7 +94,7 @@ func TestStoreRangedTornTailFallback(t *testing.T) {
 		t.Run(tear, func(t *testing.T) {
 			st := newRangedStore(t)
 			want := chainVictim(t, st, "job-1", 6, 5)
-			js := st.jobStore("job-1")
+			js := st.tenant(tenant.Default).jobStore("job-1")
 			groups := groupChain(js.listChain())
 			last := groups[len(groups)-1]
 			switch tear {
@@ -137,7 +138,7 @@ func TestStoreRangedTornTailFallback(t *testing.T) {
 func TestStoreRangedRetention(t *testing.T) {
 	st := newRangedStore(t)
 	chainVictim(t, st, "job-1", 9, 8) // fulls at 1, 4, 7; keep=2 drops seqs < 4
-	js := st.jobStore("job-1")
+	js := st.tenant(tenant.Default).jobStore("job-1")
 	groups := groupChain(js.listChain())
 	anchors := 0
 	for _, g := range groups {
@@ -300,7 +301,7 @@ func TestStoreMmapFormatInterop(t *testing.T) {
 func TestRangedChainFilesAreChainRecords(t *testing.T) {
 	st := newRangedStore(t)
 	chainVictim(t, st, "job-1", 4, 3)
-	js := st.jobStore("job-1")
+	js := st.tenant(tenant.Default).jobStore("job-1")
 	listed := map[string]bool{}
 	for _, rec := range js.listChain() {
 		listed[rec.path] = true

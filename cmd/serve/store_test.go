@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"github.com/sociograph/reconcile"
+	"github.com/sociograph/reconcile/internal/tenant"
 )
 
 // testStoreConfig keeps the chain short so the existing suites exercise
@@ -145,7 +146,7 @@ func TestServeInterruptedResume(t *testing.T) {
 	if _, err := victim.Run(ctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("victim err = %v, want cancellation", err)
 	}
-	js := st.jobStore("job-1")
+	js := st.tenant(tenant.Default).jobStore("job-1")
 	if err := js.saveGraphs(g1, g2); err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +230,7 @@ func TestServeCheckpointEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("checkpoint of idle job: status %d, want 200", resp.StatusCode)
 	}
-	js := st.jobStore(id) // same hash placement as the server's handle
+	js := st.tenant(tenant.Default).jobStore(id) // same hash placement as the server's handle
 	if len(js.listChain()) == 0 {
 		t.Fatal("no chain records after checkpoint")
 	}

@@ -384,7 +384,7 @@ func TestTenantDeleteJob(t *testing.T) {
 		t.Fatalf("double DELETE: status %d, want 404", resp.StatusCode)
 	}
 	// No trace on disk.
-	js := st.jobStore(id)
+	js := st.tenant(tenant.Default).jobStore(id)
 	if n := len(js.listChain()); n != 0 {
 		t.Fatalf("%d chain records survive the delete", n)
 	}
@@ -724,10 +724,11 @@ func tenantChainVictim(t *testing.T, st *store, tenantName, id string, iteration
 	return want
 }
 
-// TestTenantStoreMigration: a pre-tenant -data-dir (root shard dirs, as PR
-// 4 wrote them) is migrated into default/ at open and every job stays
-// readable through the un-namespaced API.
-func TestTenantStoreMigration(t *testing.T) {
+// TestTenantStorePreTenantLayoutRefused: a pre-tenant -data-dir (root
+// shard dirs, as the first sharded store wrote them) is refused at open
+// with an error naming the offending path, and nothing is moved; once the
+// jobs are back under default/ the same directory opens and serves them.
+func TestTenantStorePreTenantLayoutRefused(t *testing.T) {
 	dir := t.TempDir()
 	st, err := newStore(dir, testStoreConfig)
 	if err != nil {
@@ -749,40 +750,62 @@ func TestTenantStoreMigration(t *testing.T) {
 	}
 	ts.Close()
 
-	// Reconstruct the pre-tenant layout: everything under default/ moves
-	// back to the data-dir root, default/ disappears.
-	defRoot := filepath.Join(dir, "default")
-	entries, err := os.ReadDir(defRoot)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		if err := os.Rename(filepath.Join(defRoot, e.Name()), filepath.Join(dir, e.Name())); err != nil {
+	// Move everything under default/ to the data-dir root (and back).
+	move := func(from, to string) {
+		t.Helper()
+		entries, err := os.ReadDir(from)
+		if err != nil {
 			t.Fatal(err)
 		}
+		for _, e := range entries {
+			if filepath.Join(from, e.Name()) == to {
+				continue
+			}
+			if err := os.Rename(filepath.Join(from, e.Name()), filepath.Join(to, e.Name())); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
+	defRoot := filepath.Join(dir, "default")
+	move(defRoot, dir)
 	if err := os.Remove(defRoot); err != nil {
 		t.Fatal(err)
 	}
 
-	// Re-open: migration must move it all back under default/ and reload.
+	_, err = newStore(dir, testStoreConfig)
+	if err == nil || !strings.Contains(err.Error(), filepath.Join(dir, "shard-")) {
+		t.Fatalf("newStore on a root-sharded layout: err = %v, want a refusal naming a root shard dir", err)
+	}
+	if _, err := os.Stat(defRoot); !os.IsNotExist(err) {
+		t.Fatalf("refused store created %s (err=%v)", defRoot, err)
+	}
+
+	// A single job file at the root is refused the same way.
+	if err := os.Mkdir(defRoot, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	move(dir, defRoot)
+	if err := os.WriteFile(filepath.Join(dir, "job-9.meta.json"), []byte("{}"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = newStore(dir, testStoreConfig)
+	if err == nil || !strings.Contains(err.Error(), filepath.Join(dir, "job-9.meta.json")) {
+		t.Fatalf("newStore with a root job file: err = %v, want a refusal naming it", err)
+	}
+	if err := os.Remove(filepath.Join(dir, "job-9.meta.json")); err != nil {
+		t.Fatal(err)
+	}
+
 	st2, err := newStore(dir, testStoreConfig)
 	if err != nil {
 		t.Fatal(err)
-	}
-	for _, name := range []string{"shard-00", "job-1.meta.json"} {
-		if matches, _ := filepath.Glob(filepath.Join(dir, "*", name)); len(matches) == 0 {
-			if _, err := os.Stat(filepath.Join(dir, name)); err == nil {
-				t.Fatalf("%s still at the data-dir root after migration", name)
-			}
-		}
 	}
 	ts2 := httptest.NewServer(newTestServer(t, st2).handler())
 	defer ts2.Close()
 	for i, id := range ids {
 		v := jobPairs(t, ts2.URL, id)
 		if v.Status != statusDone || fmt.Sprint(v.Pairs) != fmt.Sprint(want[i].Pairs) {
-			t.Fatalf("job %s after migration: status %q, pairs changed=%v", id, v.Status, fmt.Sprint(v.Pairs) != fmt.Sprint(want[i].Pairs))
+			t.Fatalf("job %s after moving back: status %q, pairs changed=%v", id, v.Status, fmt.Sprint(v.Pairs) != fmt.Sprint(want[i].Pairs))
 		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"github.com/sociograph/reconcile"
+	"github.com/sociograph/reconcile/internal/tenant"
 	"github.com/sociograph/reconcile/internal/trace"
 )
 
@@ -132,6 +133,12 @@ func TestTraceContinuousAcrossRestart(t *testing.T) {
 			st := newTestStore(t)
 			req := testInstance(t, 300, 0.2)
 			req.Options.Engine = engine
+			if engine == "sequential" {
+				// The sequential reference is the parallel engine on one
+				// worker.
+				one := 1
+				req.Options.Engine, req.Options.Workers = "parallel", &one
+			}
 			g1, g2, seeds := wireInstance(t, req)
 			opts, err := buildOptions(req.Options)
 			if err != nil {
@@ -163,7 +170,7 @@ func TestTraceContinuousAcrossRestart(t *testing.T) {
 			if _, err := victim.Run(ctx); !errors.Is(err, context.Canceled) {
 				t.Fatalf("victim err = %v, want cancellation", err)
 			}
-			js := st.jobStore("job-1")
+			js := st.tenant(tenant.Default).jobStore("job-1")
 			if err := js.saveGraphs(g1, g2); err != nil {
 				t.Fatal(err)
 			}

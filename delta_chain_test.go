@@ -20,7 +20,7 @@ type chainRecord struct {
 }
 
 // TestDeltaChainResumeEquivalence extends the PR 3 resume-equivalence
-// guarantee to delta chains, on all four engines: a run checkpointed as
+// guarantee to delta chains, on every engine: a run checkpointed as
 // (full + per-bucket deltas), cut at any checkpoint, replayed and resumed,
 // finishes bit-identically to the run that was never interrupted — and the
 // replayed state is byte-identical to the monolithic snapshot taken at the
@@ -30,17 +30,15 @@ type chainRecord struct {
 // re-anchor with a full there (ErrFullRequired) and keep replaying.
 func TestDeltaChainResumeEquivalence(t *testing.T) {
 	g1, g2, seeds := snapshotInstance(t)
-	for _, engine := range []reconcile.Engine{reconcile.EngineFrontier, reconcile.EngineParallel, reconcile.EngineSequential, reconcile.EngineHybrid} {
-		t.Run(engine.String(), func(t *testing.T) {
+	for _, ec := range []engineCase{frontierCase, parallelCase, sequentialCase, hybridCase} {
+		t.Run(ec.name, func(t *testing.T) {
 			iterations := 3
-			if engine == reconcile.EngineHybrid {
+			if ec.engine == reconcile.EngineHybrid {
 				iterations = 8 // commits decay to zero and the handoff fires mid-chain
 			}
-			opts := []reconcile.Option{
+			opts := append(ec.options(),
 				reconcile.WithSeeds(seeds),
-				reconcile.WithEngine(engine),
-				reconcile.WithIterations(iterations),
-			}
+				reconcile.WithIterations(iterations))
 			ref, err := reconcile.New(g1, g2, opts...)
 			if err != nil {
 				t.Fatal(err)
@@ -111,7 +109,7 @@ func TestDeltaChainResumeEquivalence(t *testing.T) {
 				}
 				return 0
 			}
-			if engine == reconcile.EngineHybrid && anchor(len(chain)-1) == 0 {
+			if ec.engine == reconcile.EngineHybrid && anchor(len(chain)-1) == 0 {
 				t.Fatal("hybrid chain has no mid-chain full; the handoff never fired")
 			}
 

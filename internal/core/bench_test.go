@@ -29,13 +29,14 @@ func BenchmarkBucketed(b *testing.B) {
 	benchRun(b, DefaultOptions())
 }
 
-// BenchmarkEngine compares the four in-core engines on the identical
-// instance and configuration; their outputs are bit-identical, so the
-// ns/op ratios are pure scheduling cost. The workers=1 and workers=2 rows
-// pin the parallel engine's pool size, so their ratio is its 1-core vs
-// 2-core scaling efficiency (on a machine with at least 2 idle cores).
-// Every row also reports hardware-independent work counts: nodes scored
-// (candidate accumulations) and witness increments.
+// BenchmarkEngine compares the in-core engines on the identical instance
+// and configuration; their outputs are bit-identical, so the ns/op ratios
+// are pure scheduling cost. The sequential row is the parallel engine on one
+// worker, so its ratio to the workers=2 row is the 1-core vs 2-core scaling
+// efficiency (on a machine with at least 2 idle cores). Every row also
+// reports hardware-independent work counts: nodes scored (candidate
+// accumulations) and witness increments, plus the frontier state's
+// re-scoring count on the rows that build one.
 func BenchmarkEngine(b *testing.B) {
 	type row struct {
 		name    string
@@ -43,11 +44,10 @@ func BenchmarkEngine(b *testing.B) {
 		workers int
 	}
 	rows := []row{
-		{"sequential", EngineSequential, 0},
+		{"sequential", EngineParallel, 1},
 		{"parallel", EngineParallel, 0},
 		{"frontier", EngineFrontier, 0},
 		{"hybrid", EngineHybrid, 0},
-		{"parallel-workers=1", EngineParallel, 1},
 		{"parallel-workers=2", EngineParallel, 2},
 	}
 	g1, g2, seeds := benchInstance(b)
@@ -57,17 +57,26 @@ func BenchmarkEngine(b *testing.B) {
 			o.Engine = r.engine
 			o.Workers = r.workers
 			var work workCounts
+			var rescored int64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				s, err := NewSession(g1, g2, seeds, o)
 				if err != nil {
 					b.Fatal(err)
 				}
-				s.Run(o.Iterations)
+				if _, err := s.RunContext(b.Context(), o.Iterations); err != nil {
+					b.Fatal(err)
+				}
 				work.add(s.scoringWork())
+				if s.fr != nil {
+					rescored += s.fr.rescored
+				}
 			}
 			b.ReportMetric(float64(work.scored)/float64(b.N), "nodes-scored/op")
 			b.ReportMetric(float64(work.witnesses)/float64(b.N), "witnesses/op")
+			if r.engine == EngineFrontier || r.engine == EngineHybrid {
+				b.ReportMetric(float64(rescored)/float64(b.N), "rescored/op")
+			}
 		})
 	}
 }
@@ -93,7 +102,9 @@ func BenchmarkHybridCrossover(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				base.Run(s - 1)
+				if _, err := base.RunContext(b.Context(), s-1); err != nil {
+					b.Fatal(err)
+				}
 				st := base.ExportState()
 				matched := 0
 				b.ResetTimer()
@@ -105,7 +116,9 @@ func BenchmarkHybridCrossover(b *testing.B) {
 					}
 					before := sess.Len()
 					b.StartTimer()
-					sess.Run(1)
+					if _, err := sess.RunContext(b.Context(), 1); err != nil {
+						b.Fatal(err)
+					}
 					b.StopTimer()
 					matched = sess.Len() - before
 					b.StartTimer()

@@ -13,14 +13,14 @@
 // concentrate; the paper measures that this step alone removes over a third
 // of the errors.
 //
-// The package provides a sequential reference engine, a parallel engine that
-// partitions the candidate scan across goroutines, a frontier engine that
-// re-scores only nodes whose scoring inputs changed since their last scoring,
-// and a hybrid engine (the default) that starts parallel and hands off to the
-// frontier engine once the per-sweep commit rate falls below a measured
-// crossover; all are deterministic and produce identical matchings. A further
-// formulation as explicit MapReduce rounds lives in internal/mapreduce and is
-// tested for equivalence against these engines.
+// The package provides a parallel engine that spreads the candidate scan
+// over goroutines (on one worker it is the sequential reference), a frontier
+// engine that re-scores only nodes whose scoring inputs changed since their
+// last scoring, and a hybrid engine (the default) that starts parallel and
+// hands off to the frontier engine once the per-sweep commit rate falls
+// below a measured crossover; all are deterministic and produce identical
+// matchings. A further formulation as explicit MapReduce rounds lives in
+// internal/mapreduce and is tested for equivalence against these engines.
 package core
 
 import (
@@ -32,14 +32,15 @@ import (
 	"github.com/sociograph/reconcile/internal/graph"
 )
 
-// Engine selects the execution strategy.
+// Engine selects the execution strategy. The values are part of the
+// snapshot format; 1 belonged to the retired sequential engine and is never
+// reused, so a state that records it fails validation.
 type Engine int
 
 const (
-	// EngineParallel scans all candidates every pass with a goroutine pool.
-	EngineParallel Engine = iota
-	// EngineSequential is the single-threaded reference implementation.
-	EngineSequential
+	// EngineParallel scans all candidates every pass with a goroutine pool;
+	// with Workers 1 it is the single-threaded reference.
+	EngineParallel Engine = 0
 	// EngineFrontier re-scores only nodes whose scoring inputs changed since
 	// their last scoring (the dirty frontier around freshly committed links),
 	// caching every node's per-bucket-level proposal across passes. Output is
@@ -48,7 +49,7 @@ const (
 	// On commit-dense cold batches its invalidation churn approaches a full
 	// rescan and it runs ~0.6x the parallel engine. See frontierState for the
 	// scheduling invariants.
-	EngineFrontier
+	EngineFrontier Engine = 2
 	// EngineHybrid is the default: it starts on the parallel engine and, at
 	// the first sweep boundary whose observed commit rate falls below the
 	// measured crossover (hybridCrossoverRate), hands the live matching to a
@@ -57,15 +58,13 @@ const (
 	// scheduling once they are sparse. The handoff is the same state transfer
 	// a cross-engine restore performs, so output stays bit-identical to every
 	// fixed engine; the regime choice affects performance only.
-	EngineHybrid
+	EngineHybrid Engine = 3
 )
 
 func (e Engine) String() string {
 	switch e {
 	case EngineParallel:
 		return "parallel"
-	case EngineSequential:
-		return "sequential"
 	case EngineFrontier:
 		return "frontier"
 	case EngineHybrid:
@@ -160,8 +159,8 @@ type Options struct {
 	// 0 means max(Δ(G1), Δ(G2)).
 	MaxDegree int
 
-	// Engine selects the execution strategy: hybrid (default), frontier,
-	// parallel, or sequential. All engines produce bit-identical output.
+	// Engine selects the execution strategy: hybrid (default), frontier or
+	// parallel. All engines produce bit-identical output.
 	Engine Engine
 
 	// Workers bounds the goroutines of the parallel engine's candidate scan
@@ -214,7 +213,7 @@ func (o Options) Validate() error {
 		return errors.New("core: Workers must be >= 0")
 	}
 	switch o.Engine {
-	case EngineParallel, EngineSequential, EngineFrontier, EngineHybrid:
+	case EngineParallel, EngineFrontier, EngineHybrid:
 	default:
 		return fmt.Errorf("core: unknown engine %d", int(o.Engine))
 	}

@@ -27,8 +27,11 @@ func TestOptionsValidate(t *testing.T) {
 }
 
 func TestEngineString(t *testing.T) {
-	if EngineParallel.String() != "parallel" || EngineSequential.String() != "sequential" {
+	if EngineParallel.String() != "parallel" || EngineFrontier.String() != "frontier" || EngineHybrid.String() != "hybrid" {
 		t.Fatal("engine names wrong")
+	}
+	if got := Engine(1).String(); got != "Engine(1)" {
+		t.Fatalf("retired engine value renders as %q", got)
 	}
 	if Engine(7).String() == "" {
 		t.Fatal("unknown engine should still render")
@@ -156,7 +159,8 @@ func TestReconcileHandCrafted(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Threshold = 2
 	opts.MinBucketExp = 0
-	opts.Engine = EngineSequential
+	opts.Engine = EngineParallel
+	opts.Workers = 1
 	seeds := []graph.Pair{{Left: 0, Right: 0}, {Left: 1, Right: 1}}
 	res, err := Reconcile(g, g, seeds, opts)
 	if err != nil {
@@ -189,7 +193,8 @@ func TestReconcileTieRejection(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Threshold = 1
 	opts.MinBucketExp = 0
-	opts.Engine = EngineSequential
+	opts.Engine = EngineParallel
+	opts.Workers = 1
 	res, err := Reconcile(g, g, []graph.Pair{{Left: 0, Right: 0}}, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -209,7 +214,8 @@ func TestReconcileThreshold(t *testing.T) {
 	g := graph.FromEdges(3, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}})
 	opts := DefaultOptions()
 	opts.MinBucketExp = 0
-	opts.Engine = EngineSequential
+	opts.Engine = EngineParallel
+	opts.Workers = 1
 	opts.Threshold = 2
 	res, err := Reconcile(g, g, []graph.Pair{{Left: 0, Right: 0}}, opts)
 	if err != nil {

@@ -85,17 +85,16 @@ func statesEquivalent(a, b *SessionState) bool {
 // restored from the replayed state finishes bit-identically to one restored
 // from cur directly.
 func TestDiffApplyIdentity(t *testing.T) {
-	for _, engine := range []Engine{EngineFrontier, EngineParallel, EngineSequential, EngineHybrid} {
-		t.Run(engine.String(), func(t *testing.T) {
-			opts := DefaultOptions()
-			opts.Engine = engine
+	for _, ec := range []engineCase{frontierCase, parallelCase, sequentialCase, hybridCase} {
+		t.Run(ec.name, func(t *testing.T) {
+			opts := ec.with(DefaultOptions())
 			g1, g2, s := deltaInstance(t, 17, 400, opts)
 
 			base := s.ExportState()
 			injected := false
 			notDiffable := 0
 			for sweep := 0; sweep < 4; sweep++ {
-				s.Run(1)
+				s.RunContext(t.Context(), 1)
 				if sweep == 1 && !injected {
 					// An incremental seed between checkpoints must flow
 					// through the delta like any other append.
@@ -112,7 +111,7 @@ func TestDiffApplyIdentity(t *testing.T) {
 				}
 				cur := s.ExportState()
 				d, err := DiffStates(base, cur)
-				if errors.Is(err, ErrNotDiffable) && engine == EngineHybrid {
+				if errors.Is(err, ErrNotDiffable) && ec.engine == EngineHybrid {
 					// The hybrid regime handoff makes the frontier caches
 					// appear between checkpoints; a Checkpointer falls back
 					// to one full snapshot there, so the chain just restarts.
@@ -140,8 +139,8 @@ func TestDiffApplyIdentity(t *testing.T) {
 				if err != nil {
 					t.Fatalf("sweep %d: restore direct: %v", sweep, err)
 				}
-				a.Run(2)
-				b.Run(2)
+				a.RunContext(t.Context(), 2)
+				b.RunContext(t.Context(), 2)
 				ra, rb := a.Result(), b.Result()
 				if len(ra.Pairs) != len(rb.Pairs) {
 					t.Fatalf("sweep %d: replayed restore diverged (%d vs %d pairs)", sweep, len(ra.Pairs), len(rb.Pairs))
@@ -210,7 +209,7 @@ func TestDiffNotDiffable(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Engine = EngineFrontier // the frontier-cache corruptions below need caches present
 	_, _, s := deltaInstance(t, 31, 200, opts)
-	s.Run(1)
+	s.RunContext(t.Context(), 1)
 	base := s.ExportState()
 
 	alt := s.ExportState()
@@ -241,7 +240,7 @@ func TestDiffNotDiffable(t *testing.T) {
 	}
 
 	// A target behind the base (replay order reversed) is refused.
-	s.Run(1)
+	s.RunContext(t.Context(), 1)
 	if _, err := DiffStates(s.ExportState(), base); !errors.Is(err, ErrNotDiffable) {
 		t.Fatalf("reversed diff: err = %v, want ErrNotDiffable", err)
 	}
@@ -254,7 +253,7 @@ func TestApplyDeltaValidation(t *testing.T) {
 	opts.Engine = EngineFrontier // the cache-edit corruptions below need frontier churn
 	_, _, s := deltaInstance(t, 37, 200, opts)
 	base := s.ExportState()
-	s.Run(1)
+	s.RunContext(t.Context(), 1)
 	cur := s.ExportState()
 	d, err := DiffStates(base, cur)
 	if err != nil {

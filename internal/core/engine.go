@@ -133,8 +133,8 @@ func (lc *linkedCounts) side(dir passDirection) (linked []int32, selfFree, partn
 	return lc.right, lc.rightFree, lc.leftFree
 }
 
-// fullScan is the per-session scratch of the full (sequential and parallel)
-// engines, reused across bucket passes: both sides' proposal arrays and the
+// fullScan is the per-session scratch of the full-scan (parallel) engine,
+// reused across bucket passes: both sides' proposal arrays and the
 // per-worker scorers, sized for the larger side so one pool serves both
 // directions.
 type fullScan struct {
@@ -152,13 +152,10 @@ func newFullScan(g1, g2 *graph.Graph) *fullScan {
 
 // runBucket performs one scoring pass at the given degree floor and commits
 // every mutual-best pair with score >= T. Returns the number of new links.
-// The sequential engine is the same pass on one worker.
+// On one worker it is the sequential reference.
 func (fs *fullScan) runBucket(g1, g2 *graph.Graph, m *Matching, lc *linkedCounts, minDeg int, opts Options) int {
 	p := opts.passParams(minDeg)
 	workers := opts.workers()
-	if opts.Engine == EngineSequential {
-		workers = 1
-	}
 	fs.pass(fromLeft, g1, g2, m, lc, p, fs.leftBest, workers)
 	fs.pass(fromRight, g1, g2, m, lc, p, fs.rightBest, workers)
 

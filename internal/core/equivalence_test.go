@@ -87,6 +87,29 @@ func pairsEqual(a, b []graph.Pair) bool {
 	return true
 }
 
+// engineCase is one engine configuration of the test matrices.
+type engineCase struct {
+	name    string
+	engine  Engine
+	workers int
+}
+
+// with returns o configured for the case.
+func (c engineCase) with(o Options) Options {
+	o.Engine, o.Workers = c.engine, c.workers
+	return o
+}
+
+// The matrix cases. The sequential reference is the parallel engine on one
+// worker; the others run at their default pool size.
+var (
+	sequentialCase = engineCase{"sequential", EngineParallel, 1}
+	parallelCase   = engineCase{"parallel", EngineParallel, 0}
+	frontierCase   = engineCase{"frontier", EngineFrontier, 0}
+	hybridCase     = engineCase{"hybrid", EngineHybrid, 0}
+	allEngineCases = []engineCase{sequentialCase, parallelCase, frontierCase, hybridCase}
+)
+
 // testInstance builds a random reconciliation instance.
 func testInstance(seed uint64, n int) (*graph.Graph, *graph.Graph, []graph.Pair) {
 	r := xrand.New(seed)
@@ -100,7 +123,8 @@ func TestSequentialMatchesNaive(t *testing.T) {
 	for _, seed := range []uint64{1, 2, 3} {
 		g1, g2, seeds := testInstance(seed, 120)
 		opts := DefaultOptions()
-		opts.Engine = EngineSequential
+		opts.Engine = EngineParallel
+		opts.Workers = 1
 		opts.Threshold = 2
 		res, err := Reconcile(g1, g2, seeds, opts)
 		if err != nil {
@@ -117,7 +141,8 @@ func TestParallelMatchesSequential(t *testing.T) {
 	err := quick.Check(func(seed uint64) bool {
 		g1, g2, seeds := testInstance(seed, 300)
 		seqOpts := DefaultOptions()
-		seqOpts.Engine = EngineSequential
+		seqOpts.Engine = EngineParallel
+		seqOpts.Workers = 1
 		seq, err := Reconcile(g1, g2, seeds, seqOpts)
 		if err != nil {
 			return false
@@ -233,7 +258,8 @@ func TestBlockScheduledEnginesMatchSequential(t *testing.T) {
 			opts := DefaultOptions()
 			opts.Scoring = scoring
 			opts.Ties = ties
-			opts.Engine = EngineSequential
+			opts.Engine = EngineParallel
+			opts.Workers = 1
 			want, err := Reconcile(g1, g2, seeds, opts)
 			if err != nil {
 				t.Fatal(err)
@@ -253,7 +279,7 @@ func TestBlockScheduledEnginesMatchSequential(t *testing.T) {
 							maxDrain = max(maxDrain, len(s.fr.left.run), len(s.fr.right.run))
 						}
 					})
-					s.Run(opts.Iterations)
+					s.RunContext(t.Context(), opts.Iterations)
 					got := s.Result()
 					if !slices.Equal(got.Pairs, want.Pairs) {
 						t.Errorf("%s: pairs differ from sequential (%d vs %d)", name, len(got.Pairs), len(want.Pairs))

@@ -103,7 +103,8 @@ func TestFrontierEquivariantUnderRelabeling(t *testing.T) {
 		}
 		// And the relabeled run itself must still be bit-identical to the
 		// sequential engine on the relabeled instance.
-		opts.Engine = EngineSequential
+		opts.Engine = EngineParallel
+		opts.Workers = 1
 		seqP, err := Reconcile(g1p, g2p, seedsP, opts)
 		if err != nil {
 			t.Fatal(err)

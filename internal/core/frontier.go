@@ -7,11 +7,11 @@ import (
 )
 
 // EngineFrontier is a scheduling optimization, never a semantic change: its
-// output is bit-identical to EngineSequential and EngineParallel for every
-// option combination (the equivalence, fuzz and equivariance suites pin
-// this). The full engines re-score every node on both sides in each of the
-// k·log D bucket passes even though a node's proposal can only change when a
-// link is committed near it. The frontier engine instead keeps, per side,
+// output is bit-identical to EngineParallel for every option combination
+// (the equivalence, fuzz and equivariance suites pin this). The full engines
+// re-score every node on both sides in each of the k·log D bucket passes
+// even though a node's proposal can only change when a link is committed
+// near it. The frontier engine instead keeps, per side,
 //
 //   - a persistent proposal cache: for every node, its best-candidate
 //     proposal at every bucket level of the schedule, computed in one pass

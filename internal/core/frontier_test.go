@@ -41,7 +41,8 @@ func TestFrontierMatchesSequential(t *testing.T) {
 					opts.Ties = ties
 					opts.Scoring = scoring
 					opts.DisableBucketing = nobuck
-					opts.Engine = EngineSequential
+					opts.Engine = EngineParallel
+					opts.Workers = 1
 					seq, err := Reconcile(g1, g2, seeds, opts)
 					if err != nil {
 						return false
@@ -98,26 +99,24 @@ func TestFrontierIncrementalMatchesSequential(t *testing.T) {
 	for _, seed := range []uint64{3, 9, 27} {
 		g1, g2, seeds := testInstance(seed, 400)
 		half := len(seeds) / 2
-		run := func(engine Engine) *Result {
-			o := DefaultOptions()
-			o.Engine = engine
-			s, err := NewSession(g1, g2, seeds[:half], o)
+		run := func(ec engineCase) *Result {
+			s, err := NewSession(g1, g2, seeds[:half], ec.with(DefaultOptions()))
 			if err != nil {
 				t.Fatal(err)
 			}
-			s.Run(1)
+			s.RunContext(t.Context(), 1)
 			// A link discovered in the first run may conflict with a late
 			// seed; the error and the partial seed application must be
 			// identical across engines, so it is data, not a failure.
 			if err := s.AddSeeds(seeds[half:]); err != nil {
-				t.Logf("engine %v: AddSeeds: %v", engine, err)
+				t.Logf("engine %v: AddSeeds: %v", ec.name, err)
 			}
-			s.Run(1)
-			s.RunUntilStable(4)
+			s.RunContext(t.Context(), 1)
+			s.RunUntilStableContext(t.Context(), 4)
 			return s.Result()
 		}
-		seq := run(EngineSequential)
-		fr := run(EngineFrontier)
+		seq := run(sequentialCase)
+		fr := run(frontierCase)
 		if !resultsIdentical(seq, fr) {
 			t.Fatalf("seed %d: incremental schedule diverged: seq %d pairs, frontier %d pairs",
 				seed, len(seq.Pairs), len(fr.Pairs))
@@ -201,11 +200,11 @@ func TestFrontierSkipsCleanNodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.RunUntilStable(10)
+	s.RunUntilStableContext(t.Context(), 10)
 	afterStable := s.fr.rescored
 
 	// The stable sweep found nothing, so no node was invalidated.
-	s.Run(1)
+	s.RunContext(t.Context(), 1)
 	if got := s.fr.rescored; got != afterStable {
 		t.Fatalf("converged sweep re-scored %d nodes, want 0", got-afterStable)
 	}
@@ -239,9 +238,9 @@ func TestFrontierAddSeedsReactivates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.RunUntilStable(10)
+	s.RunUntilStableContext(t.Context(), 10)
 	idle := s.fr.rescored
-	s.Run(1)
+	s.RunContext(t.Context(), 1)
 	if s.fr.rescored != idle {
 		t.Fatal("converged session not idle")
 	}
@@ -261,7 +260,7 @@ func TestFrontierAddSeedsReactivates(t *testing.T) {
 	if err := s.AddSeeds(late); err != nil {
 		t.Fatal(err)
 	}
-	s.RunUntilStable(10)
+	s.RunUntilStableContext(t.Context(), 10)
 	if s.fr.rescored == idle {
 		t.Fatal("AddSeeds did not re-open the frontier")
 	}
@@ -269,17 +268,18 @@ func TestFrontierAddSeedsReactivates(t *testing.T) {
 	// Same final state as the sequential engine driven through the same
 	// schedule.
 	oSeq := o
-	oSeq.Engine = EngineSequential
+	oSeq.Engine = EngineParallel
+	oSeq.Workers = 1
 	sq, err := NewSession(g1, g2, early, oSeq)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sq.RunUntilStable(10)
-	sq.Run(1)
+	sq.RunUntilStableContext(t.Context(), 10)
+	sq.RunContext(t.Context(), 1)
 	if err := sq.AddSeeds(late); err != nil {
 		t.Fatal(err)
 	}
-	sq.RunUntilStable(10)
+	sq.RunUntilStableContext(t.Context(), 10)
 	if !pairsEqual(s.Result().Pairs, sq.Result().Pairs) {
 		t.Fatalf("post-AddSeeds states diverge: frontier %d pairs, sequential %d",
 			s.Len(), sq.Len())

@@ -11,8 +11,9 @@ import (
 )
 
 // FuzzEngineEquivalence generates random reconciliation instances and option
-// combinations and asserts that all four engines — sequential reference,
-// parallel, frontier, hybrid — produce bit-identical output: same pairs in
+// combinations and asserts that every engine — the sequential reference (the
+// parallel engine on one worker), parallel, frontier, hybrid — produces
+// bit-identical output: same pairs in
 // the same discovery order and the same phase statistics. It then drives the
 // frontier, hybrid and sequential engines through an incremental schedule
 // (run, ingest the held-back seeds, run to convergence) and requires the
@@ -68,7 +69,7 @@ func FuzzEngineEquivalence(f *testing.F) {
 			}
 			return res
 		}
-		seq := run(EngineSequential, 0)
+		seq := run(EngineParallel, 1)
 		if par := run(EngineParallel, 3); !resultsIdentical(seq, par) {
 			t.Fatalf("parallel diverges from sequential: %d vs %d pairs (cfg=%#x n=%d)",
 				len(par.Pairs), len(seq.Pairs), cfg, n)
@@ -89,12 +90,10 @@ func FuzzEngineEquivalence(f *testing.F) {
 		// public restore mask), finish — still bit-identical. When the victim
 		// is hybrid this crosses its automatic switch point from both sides.
 		if total := len(seq.Phases); total > 1 {
-			engines := []Engine{EngineSequential, EngineParallel, EngineFrontier, EngineHybrid}
-			runAs := engines[int(cfg>>3)%len(engines)]
-			resumeAs := engines[int(cfg>>5)%len(engines)]
+			runAs := allEngineCases[int(cfg>>3)%len(allEngineCases)]
+			resumeAs := allEngineCases[int(cfg>>5)%len(allEngineCases)]
 			stop := 1 + int(seed>>13)%(total-1)
-			o := opts
-			o.Engine = runAs
+			o := runAs.with(opts)
 			s, err := NewSession(g1, g2, seeds, o)
 			if err != nil {
 				t.Fatal(err)
@@ -112,12 +111,12 @@ func FuzzEngineEquivalence(f *testing.F) {
 			}
 			cancel()
 			st := s.ExportState()
-			st.Opts.Engine = resumeAs
-			switch resumeAs {
+			st.Opts = resumeAs.with(st.Opts)
+			switch resumeAs.engine {
 			case EngineFrontier:
 				st.HybridFrontier = false
 			case EngineHybrid:
-				if runAs != EngineHybrid {
+				if runAs.engine != EngineHybrid {
 					st.HybridFrontier = st.InferHybridRegime()
 				}
 				if !st.HybridFrontier {
@@ -129,7 +128,7 @@ func FuzzEngineEquivalence(f *testing.F) {
 			}
 			restored, err := RestoreSession(g1, g2, st)
 			if err != nil {
-				t.Fatalf("%v->%v stop=%d: restore: %v", runAs, resumeAs, stop, err)
+				t.Fatalf("%v->%v stop=%d: restore: %v", runAs.name, resumeAs.name, stop, err)
 			}
 			remaining := o.Iterations - restored.Sweeps()
 			if _, err := restored.RunContext(context.Background(), remaining); err != nil {
@@ -137,7 +136,7 @@ func FuzzEngineEquivalence(f *testing.F) {
 			}
 			if got := restored.Result(); !resultsIdentical(seq, got) {
 				t.Fatalf("%v->%v stop=%d: switched run diverged: %d vs %d pairs (cfg=%#x n=%d)",
-					runAs, resumeAs, stop, len(got.Pairs), len(seq.Pairs), cfg, n)
+					runAs.name, resumeAs.name, stop, len(got.Pairs), len(seq.Pairs), cfg, n)
 			}
 		}
 
@@ -146,14 +145,12 @@ func FuzzEngineEquivalence(f *testing.F) {
 			return
 		}
 		half := len(seeds) / 2
-		incremental := func(engine Engine) (*Result, string) {
-			o := opts
-			o.Engine = engine
-			s, err := NewSession(g1, g2, seeds[:half], o)
+		incremental := func(ec engineCase) (*Result, string) {
+			s, err := NewSession(g1, g2, seeds[:half], ec.with(opts))
 			if err != nil {
-				t.Fatalf("%v engine: %v", engine, err)
+				t.Fatalf("%v engine: %v", ec.name, err)
 			}
-			s.Run(1)
+			s.RunContext(t.Context(), 1)
 			// Late seeds may conflict with discovered links; the error (and
 			// the partial application preceding it) must match across
 			// engines, so it is part of the compared output.
@@ -161,19 +158,19 @@ func FuzzEngineEquivalence(f *testing.F) {
 			if err := s.AddSeeds(seeds[half:]); err != nil {
 				errStr = err.Error()
 			}
-			s.RunUntilStable(3)
+			s.RunUntilStableContext(t.Context(), 3)
 			return s.Result(), errStr
 		}
-		seqInc, seqErr := incremental(EngineSequential)
-		for _, engine := range []Engine{EngineFrontier, EngineHybrid} {
-			inc, incErr := incremental(engine)
+		seqInc, seqErr := incremental(sequentialCase)
+		for _, ec := range []engineCase{frontierCase, hybridCase} {
+			inc, incErr := incremental(ec)
 			if seqErr != incErr {
 				t.Fatalf("incremental %v AddSeeds errors diverge: %q vs %q (cfg=%#x n=%d)",
-					engine, incErr, seqErr, cfg, n)
+					ec.name, incErr, seqErr, cfg, n)
 			}
 			if !resultsIdentical(seqInc, inc) {
 				t.Fatalf("incremental %v diverges: %d vs %d pairs (cfg=%#x n=%d)",
-					engine, len(inc.Pairs), len(seqInc.Pairs), cfg, n)
+					ec.name, len(inc.Pairs), len(seqInc.Pairs), cfg, n)
 			}
 		}
 	})

@@ -10,7 +10,8 @@ func TestHybridMatchesSequential(t *testing.T) {
 	for _, seed := range []uint64{1, 5, 9} {
 		g1, g2, seeds := testInstance(seed, 300)
 		opts := DefaultOptions()
-		opts.Engine = EngineSequential
+		opts.Engine = EngineParallel
+		opts.Workers = 1
 		seq, err := Reconcile(g1, g2, seeds, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -33,23 +34,21 @@ func TestHybridIncrementalMatchesSequential(t *testing.T) {
 	for _, seed := range []uint64{3, 9, 27} {
 		g1, g2, seeds := testInstance(seed, 400)
 		half := len(seeds) / 2
-		run := func(engine Engine) *Result {
-			o := DefaultOptions()
-			o.Engine = engine
-			s, err := NewSession(g1, g2, seeds[:half], o)
+		run := func(ec engineCase) *Result {
+			s, err := NewSession(g1, g2, seeds[:half], ec.with(DefaultOptions()))
 			if err != nil {
 				t.Fatal(err)
 			}
-			s.Run(1)
+			s.RunContext(t.Context(), 1)
 			if err := s.AddSeeds(seeds[half:]); err != nil {
-				t.Logf("engine %v: AddSeeds: %v", engine, err)
+				t.Logf("engine %v: AddSeeds: %v", ec.name, err)
 			}
-			s.Run(1)
-			s.RunUntilStable(4)
+			s.RunContext(t.Context(), 1)
+			s.RunUntilStableContext(t.Context(), 4)
 			return s.Result()
 		}
-		seq := run(EngineSequential)
-		hy := run(EngineHybrid)
+		seq := run(sequentialCase)
+		hy := run(hybridCase)
 		if !resultsIdentical(seq, hy) {
 			t.Fatalf("seed %d: incremental schedule diverged: seq %d pairs, hybrid %d",
 				seed, len(seq.Pairs), len(hy.Pairs))
@@ -70,25 +69,25 @@ func TestHybridAutoSwitch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Run(1)
+	s.RunContext(t.Context(), 1)
 	if s.hybridSwitched {
 		t.Fatal("switched during the commit-dense first sweep")
 	}
 	if s.fr != nil {
 		t.Fatal("frontier caches exist before the switch")
 	}
-	s.RunUntilStable(10)
+	s.RunUntilStableContext(t.Context(), 10)
 	if !s.hybridSwitched {
 		t.Fatal("no switch by convergence: a stable sweep commits nothing, which is below any crossover")
 	}
 	// The decision may have landed on the final sweep; one more sweep forces
 	// the lazy build.
-	s.Run(1)
+	s.RunContext(t.Context(), 1)
 	if s.fr == nil {
 		t.Fatal("frontier state not built after the switch")
 	}
 	idle := s.fr.rescored
-	s.Run(1)
+	s.RunContext(t.Context(), 1)
 	if s.fr.rescored != idle {
 		t.Fatalf("converged hybrid sweep re-scored %d nodes, want 0", s.fr.rescored-idle)
 	}
@@ -148,7 +147,8 @@ func TestHybridRestoreAfterSwitch(t *testing.T) {
 func TestInferHybridRegime(t *testing.T) {
 	g1, g2, seeds := testInstance(7, 400)
 	o := DefaultOptions()
-	o.Engine = EngineSequential
+	o.Engine = EngineParallel
+	o.Workers = 1
 	s, err := NewSession(g1, g2, seeds, o)
 	if err != nil {
 		t.Fatal(err)
@@ -156,11 +156,11 @@ func TestInferHybridRegime(t *testing.T) {
 	if s.ExportState().InferHybridRegime() {
 		t.Fatal("empty history inferred as frontier regime")
 	}
-	s.Run(1)
+	s.RunContext(t.Context(), 1)
 	if s.ExportState().InferHybridRegime() {
 		t.Fatal("commit-dense first sweep inferred as frontier regime")
 	}
-	s.RunUntilStable(10)
+	s.RunUntilStableContext(t.Context(), 10)
 	if !s.ExportState().InferHybridRegime() {
 		t.Fatal("converged history inferred as parallel regime")
 	}
@@ -173,10 +173,9 @@ func TestInferHybridRegime(t *testing.T) {
 // totals.
 func TestPhaseRetention(t *testing.T) {
 	g1, g2, seeds := testInstance(7, 200)
-	for _, engine := range []Engine{EngineSequential, EngineHybrid} {
-		t.Run(engine.String(), func(t *testing.T) {
-			opts := DefaultOptions()
-			opts.Engine = engine
+	for _, ec := range []engineCase{sequentialCase, hybridCase} {
+		t.Run(ec.name, func(t *testing.T) {
+			opts := ec.with(DefaultOptions())
 			s, err := NewSession(g1, g2, seeds, opts)
 			if err != nil {
 				t.Fatal(err)
@@ -187,7 +186,7 @@ func TestPhaseRetention(t *testing.T) {
 				matchedSum += e.Matched
 			})
 			const sweeps = phaseRetainSweeps + 5
-			s.Run(sweeps)
+			s.RunContext(t.Context(), sweeps)
 			s.SetProgress(nil)
 
 			buckets := len(opts.BucketSchedule(g1, g2))
@@ -269,25 +268,26 @@ func TestPhaseRetentionResumeEquivalence(t *testing.T) {
 func TestPhaseRetentionHistoryIndependent(t *testing.T) {
 	g1, g2, seeds := testInstance(3, 150)
 	opts := DefaultOptions()
-	opts.Engine = EngineSequential
+	opts.Engine = EngineParallel
+	opts.Workers = 1
 	const sweeps = phaseRetainSweeps + 3
 
 	direct, err := NewSession(g1, g2, seeds, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct.Run(sweeps)
+	direct.RunContext(t.Context(), sweeps)
 
 	hopped, err := NewSession(g1, g2, seeds, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hopped.Run(sweeps / 2)
+	hopped.RunContext(t.Context(), sweeps/2)
 	mid, err := RestoreSession(g1, g2, hopped.ExportState())
 	if err != nil {
 		t.Fatal(err)
 	}
-	mid.Run(sweeps - sweeps/2)
+	mid.RunContext(t.Context(), sweeps-sweeps/2)
 
 	if !resultsIdentical(direct.Result(), mid.Result()) {
 		t.Fatal("export/restore mid-run changed the retained window or totals")

@@ -195,9 +195,9 @@ func TestSplitFrozenChunksDelta(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Run(2)
+	s.RunContext(t.Context(), 2)
 	base := s.ExportState()
-	s.Run(2)
+	s.RunContext(t.Context(), 2)
 	cur := s.ExportState()
 
 	const ranges = 4
@@ -246,14 +246,14 @@ func TestRangedResumeEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			full.Run(4)
+			full.RunContext(t.Context(), 4)
 			want := full.ExportState()
 
 			s, err := NewSession(g1, g2, seeds, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			s.Run(2)
+			s.RunContext(t.Context(), 2)
 			man, parts, err := SplitStateRanges(s.ExportState(), ranges, nil)
 			if err != nil {
 				t.Fatalf("engine %d/R=%d: split: %v", engine, ranges, err)
@@ -266,7 +266,7 @@ func TestRangedResumeEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("engine %d/R=%d: restore: %v", engine, ranges, err)
 			}
-			restored.Run(2)
+			restored.RunContext(t.Context(), 2)
 			got := restored.ExportState()
 			if !statesEqual(want, got) {
 				t.Fatalf("engine %d/R=%d: ranged resume diverged from uninterrupted run", engine, ranges)

@@ -53,10 +53,9 @@ func finishSchedule(t *testing.T, s *Session, sweeps int) {
 // the uninterrupted whole".
 func TestResumeEquivalence(t *testing.T) {
 	g1, g2, seeds := testInstance(5, 400)
-	for _, engine := range []Engine{EngineSequential, EngineParallel, EngineFrontier, EngineHybrid} {
-		t.Run(engine.String(), func(t *testing.T) {
-			opts := DefaultOptions()
-			opts.Engine = engine
+	for _, ec := range allEngineCases {
+		t.Run(ec.name, func(t *testing.T) {
+			opts := ec.with(DefaultOptions())
 
 			full, err := Reconcile(g1, g2, seeds, opts)
 			if err != nil {
@@ -112,35 +111,34 @@ func TestResumeEquivalenceCrossEngine(t *testing.T) {
 
 	for _, tc := range []struct {
 		name     string
-		runAs    Engine
-		resumeAs Engine
+		runAs    engineCase
+		resumeAs engineCase
 	}{
-		{"frontier to sequential", EngineFrontier, EngineSequential},
-		{"sequential to frontier", EngineSequential, EngineFrontier},
-		{"parallel to frontier", EngineParallel, EngineFrontier},
-		{"hybrid to frontier", EngineHybrid, EngineFrontier},
-		{"hybrid to sequential", EngineHybrid, EngineSequential},
-		{"frontier to hybrid", EngineFrontier, EngineHybrid},
-		{"parallel to hybrid", EngineParallel, EngineHybrid},
-		{"sequential to hybrid", EngineSequential, EngineHybrid},
+		{"frontier to sequential", frontierCase, sequentialCase},
+		{"sequential to frontier", sequentialCase, frontierCase},
+		{"parallel to frontier", parallelCase, frontierCase},
+		{"hybrid to frontier", hybridCase, frontierCase},
+		{"hybrid to sequential", hybridCase, sequentialCase},
+		{"frontier to hybrid", frontierCase, hybridCase},
+		{"parallel to hybrid", parallelCase, hybridCase},
+		{"sequential to hybrid", sequentialCase, hybridCase},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			for stop := 1; stop < totalBuckets; stop++ {
-				o := opts
-				o.Engine = tc.runAs
+				o := tc.runAs.with(opts)
 				victim := runToBoundary(t, g1, g2, seeds, o, o.Iterations, stop)
 				st := victim.ExportState()
-				st.Opts.Engine = tc.resumeAs
+				st.Opts = tc.resumeAs.with(st.Opts)
 				// Mirror the public restore mask (restoreReconciler): the
 				// frontier engine keeps or rebuilds caches, the hybrid engine
 				// derives its regime from the commit history, fixed scan
 				// engines drop both.
-				switch tc.resumeAs {
+				switch tc.resumeAs.engine {
 				case EngineFrontier:
 					st.HybridFrontier = false
 					st.Frontier = nil // force the rebuild path explicitly
 				case EngineHybrid:
-					if tc.runAs != EngineHybrid {
+					if tc.runAs.engine != EngineHybrid {
 						st.HybridFrontier = st.InferHybridRegime()
 					}
 					if !st.HybridFrontier {
@@ -213,7 +211,7 @@ func TestRestoreSessionRejectsInvalidState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Run(1)
+	s.RunContext(t.Context(), 1)
 	good := s.ExportState()
 
 	check := func(name string, corrupt func(st *SessionState)) {
@@ -297,12 +295,12 @@ func TestExportStateIsDeepCopy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Run(1)
+	s.RunContext(t.Context(), 1)
 	st := s.ExportState()
 	pairsBefore := len(st.Pairs)
 	phasesBefore := len(st.Phases)
-	s.Run(1)
-	s.RunUntilStable(5)
+	s.RunContext(t.Context(), 1)
+	s.RunUntilStableContext(t.Context(), 5)
 	if len(st.Pairs) != pairsBefore || len(st.Phases) != phasesBefore {
 		t.Fatal("exported state aliases the live session")
 	}
@@ -311,7 +309,7 @@ func TestExportStateIsDeepCopy(t *testing.T) {
 		t.Fatal(err)
 	}
 	finishSchedule(t, restored, DefaultOptions().Iterations)
-	restored.RunUntilStable(5)
+	restored.RunUntilStableContext(t.Context(), 5)
 	if !pairsEqual(restored.Result().Pairs, s.Result().Pairs) {
 		t.Fatal("restored continuation diverged from the live session")
 	}

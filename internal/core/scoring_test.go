@@ -93,7 +93,8 @@ func TestAdamicAdarBreaksHubTies(t *testing.T) {
 		opts.Threshold = 2
 		opts.MinBucketExp = 0
 		opts.Scoring = scoring
-		opts.Engine = EngineSequential
+		opts.Engine = EngineParallel
+		opts.Workers = 1
 		res, err := Reconcile(g1, g2, seeds, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -156,7 +157,8 @@ func TestMinMarginRejectsCloseCalls(t *testing.T) {
 		opts.Threshold = 2
 		opts.MinBucketExp = 0
 		opts.MinMargin = margin
-		opts.Engine = EngineSequential
+		opts.Engine = EngineParallel
+		opts.Workers = 1
 		opts.Iterations = 1
 		res, err := Reconcile(g, g, seeds, opts)
 		if err != nil {
@@ -203,7 +205,8 @@ func TestWeightedEnginesAgree(t *testing.T) {
 	g1, g2, seeds := testInstance(29, 500)
 	opts := DefaultOptions()
 	opts.Scoring = ScoreAdamicAdar
-	opts.Engine = EngineSequential
+	opts.Engine = EngineParallel
+	opts.Workers = 1
 	seq, err := Reconcile(g1, g2, seeds, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -25,10 +25,10 @@ type PhaseEvent struct {
 // networks are reconciled once, then new trusted links trickle in (users
 // keep connecting their accounts) and the matching is extended without
 // recomputing from scratch. A Session holds the evolving link set and its
-// bookkeeping; each Run performs full bucket sweeps, so results after
-// AddSeeds+Run are exactly what a fresh Reconcile with the union of seeds
-// would eventually find (the algorithm is monotone: links are never
-// retracted).
+// bookkeeping; each RunContext performs full bucket sweeps, so results
+// after AddSeeds+RunContext are exactly what a fresh Reconcile with the
+// union of seeds would eventually find (the algorithm is monotone: links
+// are never retracted).
 type Session struct {
 	g1, g2 *graph.Graph
 	opts   Options
@@ -72,7 +72,7 @@ type Session struct {
 
 // NewSession prepares an incremental matcher over the two networks with the
 // initial seed links. The Iterations option is ignored; sweeps are driven
-// by Run.
+// by RunContext.
 func NewSession(g1, g2 *graph.Graph, seeds []graph.Pair, opts Options) (*Session, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
@@ -131,17 +131,9 @@ func (s *Session) SetProgress(fn func(PhaseEvent)) { s.progress = fn }
 // state — restore paths re-install it.
 func (s *Session) SetTracer(tr *trace.Recorder) { s.tracer = tr }
 
-// Run performs the given number of full bucket sweeps and returns how many
-// new links were found.
-func (s *Session) Run(sweeps int) int {
-	//lint:allow ctx-propagation deprecated pre-context wrapper kept for API compatibility and pinned by equivalence tests; new callers use RunContext
-	found, _ := s.RunContext(context.Background(), sweeps)
-	return found
-}
-
 // Sweeps returns the number of sweeps started so far (a sweep interrupted by
 // cancellation counts: its remaining buckets run, at no extra sweep cost, at
-// the start of the next Run). Iterations - Sweeps is therefore the number of
+// the start of the next run). Iterations - Sweeps is therefore the number of
 // sweeps still owed on the original schedule.
 func (s *Session) Sweeps() int { return s.sweeps }
 
@@ -153,7 +145,7 @@ func (s *Session) Graphs() (g1, g2 *graph.Graph) { return s.g1, s.g2 }
 // cancellation and deadlines: the context is checked at every bucket-phase
 // boundary, and on expiry the run stops there with ctx.Err(). Links found
 // before the stop are kept — the session remains valid, Result reflects the
-// partial progress, and a later Run picks up exactly where this one stopped:
+// partial progress, and a later run picks up exactly where this one stopped:
 // a sweep interrupted mid-schedule is completed first (its remaining buckets
 // do not count toward the new call's sweep budget), so an interrupted
 // schedule replays bucket for bucket as if it had never stopped. RunContext
@@ -232,20 +224,12 @@ func (s *Session) RunContext(ctx context.Context, sweeps int) (int, error) {
 	return found, nil
 }
 
-// RunUntilStable sweeps until a full sweep finds nothing new (or maxSweeps
-// is reached), returning the total number of links found.
-func (s *Session) RunUntilStable(maxSweeps int) int {
-	//lint:allow ctx-propagation deprecated pre-context wrapper kept for API compatibility and pinned by equivalence tests; new callers use RunUntilStableContext
-	total, _ := s.RunUntilStableContext(context.Background(), maxSweeps)
-	return total
-}
-
-// RunUntilStableContext is RunUntilStable with cancellation: it sweeps until
-// a full sweep finds nothing new, maxSweeps is reached, or the context ends
-// (checked at bucket boundaries, like RunContext). A sweep a previous run
-// left interrupted is completed first, outside the maxSweeps budget and the
-// stability check — its links belong to a sweep that already counted, so
-// only whole fresh sweeps decide convergence.
+// RunUntilStableContext sweeps until a full sweep finds nothing new,
+// maxSweeps is reached, or the context ends (checked at bucket boundaries,
+// like RunContext). A sweep a previous run left interrupted is completed
+// first, outside the maxSweeps budget and the stability check — its links
+// belong to a sweep that already counted, so only whole fresh sweeps decide
+// convergence.
 func (s *Session) RunUntilStableContext(ctx context.Context, maxSweeps int) (int, error) {
 	total, err := s.RunContext(ctx, 0) // finish any interrupted sweep
 	if err != nil {

@@ -22,7 +22,7 @@ func TestSessionMatchesBatchReconcile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess.Run(opts.Iterations)
+	sess.RunContext(t.Context(), opts.Iterations)
 	got := sess.Result()
 	if len(got.Pairs) != len(batch.Pairs) {
 		t.Fatalf("session %d pairs, batch %d", len(got.Pairs), len(batch.Pairs))
@@ -58,7 +58,7 @@ func TestSessionIncrementalSeedsCatchUp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess.RunUntilStable(10)
+	sess.RunUntilStableContext(t.Context(), 10)
 	before := sess.Len()
 	// Later seeds may conflict with links the first phase already made (a
 	// seed exposes an earlier wrong or alternative match). Production
@@ -70,7 +70,7 @@ func TestSessionIncrementalSeedsCatchUp(t *testing.T) {
 		}
 	}
 	t.Logf("%d/%d late seeds conflicted with phase-1 links", conflicts, len(all)-half)
-	sess.RunUntilStable(10)
+	sess.RunUntilStableContext(t.Context(), 10)
 	if sess.Len() < before {
 		t.Fatal("session lost links")
 	}
@@ -167,10 +167,10 @@ func TestSessionRunUntilStableStops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess.RunUntilStable(50)
+	sess.RunUntilStableContext(t.Context(), 50)
 	n := sess.Len()
 	// Once stable, further sweeps find nothing.
-	if extra := sess.Run(2); extra != 0 {
+	if extra, _ := sess.RunContext(t.Context(), 2); extra != 0 {
 		t.Fatalf("stable session found %d more links", extra)
 	}
 	if sess.Len() != n {

@@ -50,8 +50,7 @@ type SessionState struct {
 	HybridFrontier bool
 
 	// Frontier is the frontier engine's persistent state; nil for the
-	// parallel and sequential engines and for EngineHybrid's parallel
-	// regime. It may be nil for EngineFrontier — or for EngineHybrid with
+	// parallel engine and for EngineHybrid's parallel regime. It may be nil for EngineFrontier — or for EngineHybrid with
 	// HybridFrontier set, e.g. exported between the regime decision and the
 	// first frontier bucket — in which case restore rebuilds an equivalent
 	// state from the matching.

@@ -53,7 +53,8 @@ func TestTieLowestIDDeterministic(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Threshold = 1
 	opts.Ties = TieLowestID
-	opts.Engine = EngineSequential
+	opts.Engine = EngineParallel
+	opts.Workers = 1
 	seq, err := Reconcile(g1, g2, seeds, opts)
 	if err != nil {
 		t.Fatal(err)

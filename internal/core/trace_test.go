@@ -36,7 +36,8 @@ func spansByKind(p *trace.Persisted) map[trace.Kind][]trace.Span {
 func TestSessionEmitsSweepAndBucketSpans(t *testing.T) {
 	g1, g2, seeds := testInstance(11, 150)
 	opts := DefaultOptions()
-	opts.Engine = EngineSequential
+	opts.Engine = EngineParallel
+	opts.Workers = 1
 	s, err := NewSession(g1, g2, seeds, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -124,11 +125,18 @@ func TestHybridHandoffSpan(t *testing.T) {
 // require every sweep to appear exactly once — the interrupted sweep's span
 // covers its post-restore portion, and none are duplicated or lost.
 func TestTraceContinuousAcrossRestore(t *testing.T) {
-	for _, eng := range []Engine{EngineSequential, EngineParallel, EngineFrontier, EngineHybrid} {
-		t.Run(fmt.Sprintf("engine-%d", eng), func(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		ec   engineCase
+	}{
+		{"engine-1", sequentialCase},
+		{"engine-0", parallelCase},
+		{"engine-2", frontierCase},
+		{"engine-3", hybridCase},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			g1, g2, seeds := testInstance(14, 150)
-			opts := DefaultOptions()
-			opts.Engine = eng
+			opts := tc.ec.with(DefaultOptions())
 			s, err := NewSession(g1, g2, seeds, opts)
 			if err != nil {
 				t.Fatal(err)

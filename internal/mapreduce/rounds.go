@@ -1,8 +1,10 @@
 package mapreduce
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/sociograph/reconcile/internal/core"
 	"github.com/sociograph/reconcile/internal/graph"
@@ -54,8 +56,8 @@ type scored struct {
 
 // Reconcile runs User-Matching with every bucket pass executed as the four
 // MapReduce rounds above. Results are identical to core.Reconcile under the
-// same options (tested for equivalence); the Engine field of opts is
-// ignored.
+// same options, pair order included (tested for equivalence); the Engine
+// field of opts is ignored.
 func Reconcile(g1, g2 *graph.Graph, seeds []graph.Pair, opts core.Options) (*core.Result, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
@@ -76,6 +78,10 @@ func Reconcile(g1, g2 *graph.Graph, seeds []graph.Pair, opts core.Options) (*cor
 	for iter := 1; iter <= opts.Iterations; iter++ {
 		for _, minDeg := range buckets {
 			matches := bucketRounds(cfg, g1, g2, m, minDeg, opts)
+			// The in-core engines commit a bucket's mutual bests in
+			// ascending left-node order; doing the same keeps Pairs
+			// identical element for element.
+			slices.SortFunc(matches, func(a, b graph.Pair) int { return cmp.Compare(a.Left, b.Left) })
 			for _, p := range matches {
 				if err := m.Add(p); err != nil {
 					// Cannot happen: round 4 guarantees unique endpoints.

@@ -1,6 +1,7 @@
 package mapreduce
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -19,19 +20,12 @@ func instance(seed uint64, n int) (*graph.Graph, *graph.Graph, []graph.Pair) {
 	return g1, g2, seeds
 }
 
-func toSet(ps []graph.Pair) map[graph.Pair]bool {
-	s := make(map[graph.Pair]bool, len(ps))
-	for _, p := range ps {
-		s[p] = true
-	}
-	return s
-}
-
 func TestMapReduceMatchesCoreEngines(t *testing.T) {
 	err := quick.Check(func(seed uint64) bool {
 		g1, g2, seeds := instance(seed, 250)
 		opts := core.DefaultOptions()
-		opts.Engine = core.EngineSequential
+		opts.Engine = core.EngineParallel
+		opts.Workers = 1
 		want, err := core.Reconcile(g1, g2, seeds, opts)
 		if err != nil {
 			return false
@@ -40,14 +34,9 @@ func TestMapReduceMatchesCoreEngines(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		ws, gs := toSet(want.Pairs), toSet(got.Pairs)
-		if len(ws) != len(gs) {
+		// The same pairs in the same discovery order.
+		if !slices.Equal(want.Pairs, got.Pairs) {
 			return false
-		}
-		for p := range ws {
-			if !gs[p] {
-				return false
-			}
 		}
 		// Phase-by-phase agreement, not just the final set.
 		if len(want.Phases) != len(got.Phases) {

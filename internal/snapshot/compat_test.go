@@ -3,199 +3,82 @@ package snapshot
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
+	"strings"
 	"testing"
 
 	"github.com/sociograph/reconcile/internal/core"
 )
 
-// Version-1 backward compatibility: streams written before the hybrid engine
-// and the bounded phase log (format version 1) must keep decoding. The
-// helpers below replicate the version-1 wire layout byte for byte — the
-// version-2 layout minus the hybrid regime flag and the evicted-phase totals
-// — so the tests cannot silently start exercising the new encoder.
+// The codec reads exactly one format version. No version-1 data was ever
+// deployed, so a version-1 stream is refused with a clear error rather than
+// decoded; these tests pin that refusal on real payloads relabelled as
+// version 1, so the payload itself would otherwise decode.
 
-// v1Frame frames a payload exactly as the version-1 writer did.
-func v1Frame(kind byte, payload []byte) []byte {
-	out := []byte{'R', 'S', 'N', 'P'}
-	out = binary.AppendUvarint(out, 1) // version
-	out = append(out, kind)
-	out = append(out, payload...)
-	return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(out))
-}
-
-func v1AppendPhases(out []byte, phases []core.PhaseStat) []byte {
-	out = binary.AppendUvarint(out, uint64(len(phases)))
-	for _, ph := range phases {
-		out = binary.AppendUvarint(out, uint64(ph.Iteration))
-		out = binary.AppendUvarint(out, uint64(ph.MinDegree))
-		out = binary.AppendUvarint(out, uint64(ph.Matched))
-		out = binary.AppendUvarint(out, uint64(ph.TotalL))
-	}
-	return out
-}
-
-func v1AppendFrontier(out []byte, fr *core.FrontierSnapshot) []byte {
-	if fr == nil {
-		return append(out, 0)
-	}
-	out = append(out, 1)
-	out = binary.AppendUvarint(out, uint64(fr.Rescored))
-	for _, side := range []*core.FrontierSideSnapshot{&fr.Left, &fr.Right} {
-		out = binary.AppendUvarint(out, uint64(len(side.ProposalNode)))
-		for _, v := range side.ProposalNode {
-			out = binary.LittleEndian.AppendUint32(out, uint32(v))
-		}
-		for _, sc := range side.ProposalScore {
-			out = binary.LittleEndian.AppendUint32(out, uint32(sc))
-		}
-		out = binary.AppendUvarint(out, uint64(len(side.Dirty)))
-		for _, v := range side.Dirty {
-			out = binary.LittleEndian.AppendUint32(out, uint32(v))
-		}
-	}
-	return out
-}
-
-// v1EncodeState renders st in the version-1 state layout. The state must be
-// one a version-1 session could have held: no hybrid regime, nothing evicted.
-func v1EncodeState(t *testing.T, st *core.SessionState) []byte {
+// relabel rewrites the version field of a single-byte-varint stream and
+// recomputes the CRC trailer, leaving the payload untouched.
+func relabel(t *testing.T, stream []byte, version byte) []byte {
 	t.Helper()
-	if st.HybridFrontier || st.PhasesDropped != 0 || st.DroppedMatched != 0 {
-		t.Fatal("state uses version-2 fields; a version-1 stream cannot hold it")
+	out := bytes.Clone(stream)
+	if out[4] != Version {
+		t.Fatalf("stream version byte %d, want %d", out[4], Version)
 	}
-	var out []byte
-	o := st.Opts
-	for _, v := range []int{o.Threshold, o.Iterations, o.MinBucketExp, o.MaxDegree,
-		int(o.Engine), o.Workers, int(o.Ties), int(o.Scoring), o.MinMargin} {
-		out = binary.AppendUvarint(out, uint64(v))
-	}
-	if o.DisableBucketing {
-		out = append(out, 1)
-	} else {
-		out = append(out, 0)
-	}
-	out = binary.AppendUvarint(out, uint64(st.N1))
-	out = binary.AppendUvarint(out, uint64(st.N2))
-	out = binary.AppendUvarint(out, uint64(len(st.Pairs)))
-	for _, p := range st.Pairs {
-		out = binary.LittleEndian.AppendUint32(out, uint32(p.Left))
-		out = binary.LittleEndian.AppendUint32(out, uint32(p.Right))
-	}
-	out = binary.AppendUvarint(out, uint64(st.Seeds))
-	out = binary.AppendUvarint(out, uint64(st.Sweeps))
-	out = binary.AppendUvarint(out, uint64(st.NextBucket))
-	out = v1AppendPhases(out, st.Phases)
-	return v1AppendFrontier(out, st.Frontier)
+	out[4] = version
+	body := out[:len(out)-4]
+	binary.LittleEndian.PutUint32(out[len(out)-4:], crc32.ChecksumIEEE(body))
+	return out
 }
 
-// TestReadStateV1 pins that version-1 state streams — frontier and
-// cache-free alike — still decode, restore, and re-encode (as version 2)
-// without loss.
+func wantUnsupported(t *testing.T, err error, version int) {
+	t.Helper()
+	want := fmt.Sprintf("unsupported format version %d", version)
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("err = %v, want %q", err, want)
+	}
+}
+
+// TestReadStateV1 pins that state streams of any version but the current
+// one — version 1 in particular — are refused, for frontier and cache-free
+// states alike, while the same payload at the current version decodes.
 func TestReadStateV1(t *testing.T) {
-	for _, engine := range []core.Engine{core.EngineFrontier, core.EngineParallel} {
-		t.Run(engine.String(), func(t *testing.T) {
-			opts := core.DefaultOptions()
-			opts.Engine = engine
-			g1, g2, s := testSession(t, 99, 200, opts, 3)
-			st := s.ExportState()
-
-			stream := v1Frame(kindState, v1EncodeState(t, st))
-			got, err := ReadState(bytes.NewReader(stream))
-			if err != nil {
-				t.Fatalf("version-1 stream rejected: %v", err)
-			}
-			if !stateEqual(st, got) {
-				t.Fatal("version-1 decode differs from the exported state")
-			}
-			if _, err := core.RestoreSession(g1, g2, got); err != nil {
-				t.Fatalf("restore of version-1 state: %v", err)
-			}
-
-			// Re-encoding writes the current version; the upgraded stream
-			// must hold the same state.
-			var v2 bytes.Buffer
-			if err := WriteState(&v2, got); err != nil {
+	for _, ec := range []engineCase{frontierCase, parallelCase} {
+		t.Run(ec.name, func(t *testing.T) {
+			_, _, s := testSession(t, 99, 200, ec.options(), 3)
+			var buf bytes.Buffer
+			if err := WriteState(&buf, s.ExportState()); err != nil {
 				t.Fatal(err)
 			}
-			again, err := ReadState(bytes.NewReader(v2.Bytes()))
-			if err != nil {
-				t.Fatal(err)
+			if _, err := ReadState(bytes.NewReader(relabel(t, buf.Bytes(), Version))); err != nil {
+				t.Fatalf("current-version stream rejected: %v", err)
 			}
-			if !stateEqual(st, again) {
-				t.Fatal("version upgrade changed the state")
+			for _, v := range []byte{1, Version + 1} {
+				_, err := ReadState(bytes.NewReader(relabel(t, buf.Bytes(), v)))
+				wantUnsupported(t, err, int(v))
 			}
 		})
 	}
 }
 
-// TestReadDeltaV1 pins that version-1 delta records still decode and replay.
+// TestReadDeltaV1 pins the same refusal for delta records and full
+// snapshots.
 func TestReadDeltaV1(t *testing.T) {
-	opts := core.DefaultOptions()
-	opts.Engine = core.EngineFrontier
-	_, _, s := testSession(t, 101, 200, opts, 0)
+	g1, g2, s := testSession(t, 101, 200, frontierCase.options(), 0)
 	base := s.ExportState()
-	s.Run(1)
-	cur := s.ExportState()
-	d, err := core.DiffStates(base, cur)
+	s.RunContext(t.Context(), 1)
+	d, err := core.DiffStates(base, s.ExportState())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.BasePhasesDropped != 0 || d.PhasesDropped != 0 || d.DroppedMatched != 0 || d.HybridFrontier {
-		t.Fatal("delta uses version-2 fields; a version-1 stream cannot hold it")
-	}
-
-	var payload []byte
-	for _, v := range []int{d.BasePairs, d.BasePhases, d.BaseSweeps, d.BaseNextBucket, d.Sweeps, d.NextBucket} {
-		payload = binary.AppendUvarint(payload, uint64(v))
-	}
-	payload = binary.AppendUvarint(payload, uint64(len(d.NewPairs)))
-	for _, p := range d.NewPairs {
-		payload = binary.LittleEndian.AppendUint32(payload, uint32(p.Left))
-		payload = binary.LittleEndian.AppendUint32(payload, uint32(p.Right))
-	}
-	payload = v1AppendPhases(payload, d.NewPhases)
-	if d.Frontier == nil {
-		payload = append(payload, 0)
-	} else {
-		payload = append(payload, 1)
-		payload = binary.AppendUvarint(payload, uint64(d.Frontier.Rescored))
-		for _, side := range []*core.FrontierSideDelta{&d.Frontier.Left, &d.Frontier.Right} {
-			payload = binary.AppendUvarint(payload, uint64(len(side.Index)))
-			prev := 0
-			for i, idx := range side.Index {
-				gap := idx - prev
-				if i == 0 {
-					gap = idx
-				}
-				payload = binary.AppendUvarint(payload, uint64(gap))
-				prev = idx
-			}
-			for _, v := range side.Node {
-				payload = binary.LittleEndian.AppendUint32(payload, uint32(v))
-			}
-			for _, sc := range side.Score {
-				payload = binary.LittleEndian.AppendUint32(payload, uint32(sc))
-			}
-			payload = binary.AppendUvarint(payload, uint64(len(side.Dirty)))
-			for _, v := range side.Dirty {
-				payload = binary.LittleEndian.AppendUint32(payload, uint32(v))
-			}
-		}
-	}
-
-	got, err := ReadDelta(bytes.NewReader(v1Frame(kindDelta, payload)))
-	if err != nil {
-		t.Fatalf("version-1 delta rejected: %v", err)
-	}
-	if !deltaEqual(d, got) {
-		t.Fatal("version-1 delta decode differs")
-	}
-	replayed, err := core.ApplyDelta(base, got)
-	if err != nil {
+	var db, fb bytes.Buffer
+	if err := WriteDelta(&db, d); err != nil {
 		t.Fatal(err)
 	}
-	if !stateEqual(cur, replayed) {
-		t.Fatal("replay of version-1 delta diverged")
+	if err := Write(&fb, g1, g2, base); err != nil {
+		t.Fatal(err)
 	}
+	_, err = ReadDelta(bytes.NewReader(relabel(t, db.Bytes(), 1)))
+	wantUnsupported(t, err, 1)
+	_, _, _, err = Read(bytes.NewReader(relabel(t, fb.Bytes(), 1)))
+	wantUnsupported(t, err, 1)
 }

@@ -27,9 +27,9 @@ func WriteDelta(w io.Writer, d *core.StateDelta) error {
 // ReadDelta reads a delta record written by WriteDelta.
 func ReadDelta(r io.Reader) (*core.StateDelta, error) {
 	var d *core.StateDelta
-	err := read(r, kindDelta, func(er *reader, v uint64) error {
+	err := read(r, kindDelta, func(er *reader) error {
 		var derr error
-		d, derr = decodeDelta(er, v)
+		d, derr = decodeDelta(er)
 		return derr
 	})
 	if err != nil {
@@ -38,8 +38,8 @@ func ReadDelta(r io.Reader) (*core.StateDelta, error) {
 	return d, nil
 }
 
-// deltaPositions flattens the scalar position fields into wire order, shared
-// by encode and decode so the two cannot drift.
+// deltaPositions flattens the scalar position and phase-window fields into
+// wire order, shared by encode and decode so the two cannot drift.
 func deltaPositions(d *core.StateDelta) []struct {
 	v    *int
 	what string
@@ -54,19 +54,6 @@ func deltaPositions(d *core.StateDelta) []struct {
 		{&d.BaseNextBucket, "base bucket position"},
 		{&d.Sweeps, "sweep count"},
 		{&d.NextBucket, "bucket position"},
-	}
-}
-
-// deltaWindowFields flattens the version-2 phase-window scalars into wire
-// order, shared by encode and decode so the two cannot drift.
-func deltaWindowFields(d *core.StateDelta) []struct {
-	v    *int
-	what string
-} {
-	return []struct {
-		v    *int
-		what string
-	}{
 		{&d.BasePhasesDropped, "base evicted phase count"},
 		{&d.PhasesDropped, "evicted phase count"},
 		{&d.DroppedMatched, "evicted match count"},
@@ -75,11 +62,6 @@ func deltaWindowFields(d *core.StateDelta) []struct {
 
 func encodeDelta(w *writer, d *core.StateDelta) error {
 	for _, f := range deltaPositions(d) {
-		if err := w.uint(*f.v, f.what); err != nil {
-			return err
-		}
-	}
-	for _, f := range deltaWindowFields(d) {
 		if err := w.uint(*f.v, f.what); err != nil {
 			return err
 		}
@@ -190,7 +172,7 @@ func encodeDelta(w *writer, d *core.StateDelta) error {
 	return nil
 }
 
-func decodeDelta(r *reader, version uint64) (*core.StateDelta, error) {
+func decodeDelta(r *reader) (*core.StateDelta, error) {
 	d := &core.StateDelta{}
 	for _, f := range deltaPositions(d) {
 		v, err := r.uint(f.what)
@@ -199,25 +181,14 @@ func decodeDelta(r *reader, version uint64) (*core.StateDelta, error) {
 		}
 		*f.v = v
 	}
-	if version >= 2 {
-		// Version 1 predates the bounded phase log and the hybrid engine;
-		// see decodeState.
-		for _, f := range deltaWindowFields(d) {
-			v, err := r.uint(f.what)
-			if err != nil {
-				return nil, err
-			}
-			*f.v = v
-		}
-		hybrid, err := r.byte("delta hybrid regime flag")
-		if err != nil {
-			return nil, err
-		}
-		if hybrid > 1 {
-			return nil, fmt.Errorf("snapshot: decode delta hybrid regime flag: bad value %d", hybrid)
-		}
-		d.HybridFrontier = hybrid == 1
+	hybrid, err := r.byte("delta hybrid regime flag")
+	if err != nil {
+		return nil, err
 	}
+	if hybrid > 1 {
+		return nil, fmt.Errorf("snapshot: decode delta hybrid regime flag: bad value %d", hybrid)
+	}
+	d.HybridFrontier = hybrid == 1
 	nPairs, err := r.uint("new pair count")
 	if err != nil {
 		return nil, err

@@ -45,14 +45,13 @@ func deltaEqual(a, b *core.StateDelta) bool {
 // every engine: decode(encode(d)) == d on values and bytes, and the decoded
 // delta replays onto the base to the exact target state.
 func TestDeltaRoundTrip(t *testing.T) {
-	for _, engine := range []core.Engine{core.EngineSequential, core.EngineParallel, core.EngineFrontier} {
-		t.Run(engine.String(), func(t *testing.T) {
-			opts := core.DefaultOptions()
-			opts.Engine = engine
+	for _, ec := range []engineCase{sequentialCase, parallelCase, frontierCase} {
+		t.Run(ec.name, func(t *testing.T) {
+			opts := ec.options()
 			_, _, s := testSession(t, 42, 300, opts, 0)
 			base := s.ExportState()
 			for sweep := 0; sweep < 3; sweep++ {
-				s.Run(1)
+				s.RunContext(t.Context(), 1)
 				cur := s.ExportState()
 				d, err := core.DiffStates(base, cur)
 				if err != nil {
@@ -96,7 +95,7 @@ func TestDeltaKindMismatch(t *testing.T) {
 	opts := core.DefaultOptions()
 	_, _, s := testSession(t, 7, 150, opts, 0)
 	base := s.ExportState()
-	s.Run(1)
+	s.RunContext(t.Context(), 1)
 	d, err := core.DiffStates(base, s.ExportState())
 	if err != nil {
 		t.Fatal(err)

@@ -55,8 +55,9 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 			opts.Scoring = core.ScoreAdamicAdar
 		}
 		switch (cfg >> 8) % 4 {
-		case 1:
-			opts.Engine = core.EngineSequential
+		case 1: // the sequential reference
+			opts.Engine = core.EngineParallel
+			opts.Workers = 1
 		case 2:
 			opts.Engine = core.EngineParallel
 		case 3:

@@ -25,7 +25,7 @@ func WriteManifest(w io.Writer, man *core.RangeManifest) error {
 // ReadManifest reads a range manifest written by WriteManifest.
 func ReadManifest(r io.Reader) (*core.RangeManifest, error) {
 	var man *core.RangeManifest
-	err := read(r, kindManifest, func(er *reader, _ uint64) error {
+	err := read(r, kindManifest, func(er *reader) error {
 		var derr error
 		man, derr = decodeManifest(er)
 		return derr

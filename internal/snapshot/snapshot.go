@@ -40,21 +40,18 @@ import (
 	"github.com/sociograph/reconcile/internal/graph"
 )
 
-// Version is the current snapshot format version. Decoders reject newer
-// versions (forward compatibility is explicit: bump this when the payload
-// layout changes, and teach Read the old layouts).
+// Version is the snapshot format version, the only one decoders accept: a
+// stream of any other version is refused with an "unsupported format
+// version" error (bump this when the payload layout changes).
 //
 // Version history:
 //
-//	1 — initial layout (PR 3), delta records (PR 4).
+//	1 — initial layout with delta records. No longer readable: no
+//	    version-1 data was ever deployed.
 //	2 — state and delta payloads gained the hybrid-engine regime flag and
 //	    the bounded phase log's evicted totals (phases dropped, matches
-//	    dropped). Version-1 streams decode with those fields zero — exactly
-//	    the state every pre-hybrid session was in.
+//	    dropped).
 const Version = 2
-
-// oldestReadable is the oldest format version Read still understands.
-const oldestReadable = 1
 
 var magic = [4]byte{'R', 'S', 'N', 'P'}
 
@@ -84,14 +81,14 @@ func Write(w io.Writer, g1, g2 *graph.Graph, st *core.SessionState) error {
 
 // Read reads a full snapshot.
 func Read(r io.Reader) (g1, g2 *graph.Graph, st *core.SessionState, err error) {
-	err = read(r, kindFull, func(er *reader, v uint64) error {
+	err = read(r, kindFull, func(er *reader) error {
 		if g1, err = graph.DecodeBinary(er); err != nil {
 			return err
 		}
 		if g2, err = graph.DecodeBinary(er); err != nil {
 			return err
 		}
-		st, err = decodeState(er, v)
+		st, err = decodeState(er)
 		return err
 	})
 	if err != nil {
@@ -108,7 +105,7 @@ func WriteGraph(w io.Writer, g *graph.Graph) error {
 // ReadGraph reads a single framed graph.
 func ReadGraph(r io.Reader) (*graph.Graph, error) {
 	var g *graph.Graph
-	err := read(r, kindGraph, func(er *reader, _ uint64) error {
+	err := read(r, kindGraph, func(er *reader) error {
 		var derr error
 		g, derr = graph.DecodeBinary(er)
 		return derr
@@ -127,9 +124,9 @@ func WriteState(w io.Writer, st *core.SessionState) error {
 // ReadState reads a state-only snapshot.
 func ReadState(r io.Reader) (*core.SessionState, error) {
 	var st *core.SessionState
-	err := read(r, kindState, func(er *reader, v uint64) error {
+	err := read(r, kindState, func(er *reader) error {
 		var derr error
-		st, derr = decodeState(er, v)
+		st, derr = decodeState(er)
 		return derr
 	})
 	if err != nil {
@@ -259,7 +256,7 @@ func (r *reader) uint(what string) (int, error) {
 	return int(v), nil
 }
 
-func read(r io.Reader, kind byte, payload func(*reader, uint64) error) error {
+func read(r io.Reader, kind byte, payload func(*reader) error) error {
 	er := &reader{br: bufio.NewReader(r), crc: crc32.NewIEEE()}
 	var m [4]byte
 	if err := er.full(m[:]); err != nil {
@@ -272,8 +269,8 @@ func read(r io.Reader, kind byte, payload func(*reader, uint64) error) error {
 	if err != nil {
 		return err
 	}
-	if v < oldestReadable || v > Version {
-		return fmt.Errorf("snapshot: unsupported format version %d (this build reads %d through %d)", v, oldestReadable, Version)
+	if v != Version {
+		return fmt.Errorf("snapshot: unsupported format version %d (this build reads %d)", v, Version)
 	}
 	k, err := er.byte("kind")
 	if err != nil {
@@ -282,7 +279,7 @@ func read(r io.Reader, kind byte, payload func(*reader, uint64) error) error {
 	if k != kind {
 		return fmt.Errorf("snapshot: stream kind %d, want %d", k, kind)
 	}
-	if err := payload(er, v); err != nil {
+	if err := payload(er); err != nil {
 		return err
 	}
 	sum := er.crc.Sum32()
@@ -502,10 +499,10 @@ func encodeState(w *writer, st *core.SessionState) error {
 	return nil
 }
 
-// decodeState reads the session-state payload of the given format version.
-// Structural bounds are checked here; core.RestoreSession re-checks every
-// semantic invariant against the graphs before the state is used.
-func decodeState(r *reader, version uint64) (*core.SessionState, error) {
+// decodeState reads the session-state payload. Structural bounds are
+// checked here; core.RestoreSession re-checks every semantic invariant
+// against the graphs before the state is used.
+func decodeState(r *reader) (*core.SessionState, error) {
 	st := &core.SessionState{}
 	for _, f := range optionFields(&st.Opts) {
 		v, err := r.uint(f.what)
@@ -552,24 +549,19 @@ func decodeState(r *reader, version uint64) (*core.SessionState, error) {
 	if st.NextBucket, err = r.uint("bucket position"); err != nil {
 		return nil, err
 	}
-	if version >= 2 {
-		// Version 1 predates the hybrid engine and the bounded phase log;
-		// its streams decode with these fields zero, which is exactly the
-		// state every version-1 session was in.
-		hybrid, err := r.byte("hybrid regime flag")
-		if err != nil {
-			return nil, err
-		}
-		if hybrid > 1 {
-			return nil, fmt.Errorf("snapshot: decode hybrid regime flag: bad value %d", hybrid)
-		}
-		st.HybridFrontier = hybrid == 1
-		if st.PhasesDropped, err = r.uint("evicted phase count"); err != nil {
-			return nil, err
-		}
-		if st.DroppedMatched, err = r.uint("evicted match count"); err != nil {
-			return nil, err
-		}
+	hybrid, err := r.byte("hybrid regime flag")
+	if err != nil {
+		return nil, err
+	}
+	if hybrid > 1 {
+		return nil, fmt.Errorf("snapshot: decode hybrid regime flag: bad value %d", hybrid)
+	}
+	st.HybridFrontier = hybrid == 1
+	if st.PhasesDropped, err = r.uint("evicted phase count"); err != nil {
+		return nil, err
+	}
+	if st.DroppedMatched, err = r.uint("evicted match count"); err != nil {
+		return nil, err
 	}
 
 	nPhases, err := r.uint("phase count")

@@ -13,6 +13,29 @@ import (
 	"github.com/sociograph/reconcile/internal/xrand"
 )
 
+// engineCase is one engine configuration of the round-trip matrices.
+type engineCase struct {
+	name    string
+	engine  core.Engine
+	workers int
+}
+
+// The matrix cases. The sequential reference is the parallel engine on one
+// worker.
+var (
+	sequentialCase = engineCase{"sequential", core.EngineParallel, 1}
+	parallelCase   = engineCase{"parallel", core.EngineParallel, 0}
+	frontierCase   = engineCase{"frontier", core.EngineFrontier, 0}
+	hybridCase     = engineCase{"hybrid", core.EngineHybrid, 0}
+)
+
+// options returns the default options on the case's engine.
+func (c engineCase) options() core.Options {
+	o := core.DefaultOptions()
+	o.Engine, o.Workers = c.engine, c.workers
+	return o
+}
+
 // testSession builds a partially-run session over a small instance.
 func testSession(t testing.TB, seed uint64, n int, opts core.Options, stopAfter int) (*graph.Graph, *graph.Graph, *core.Session) {
 	t.Helper()
@@ -71,10 +94,9 @@ func stateEqual(a, b *core.SessionState) bool {
 }
 
 func TestFullRoundTrip(t *testing.T) {
-	for _, engine := range []core.Engine{core.EngineSequential, core.EngineParallel, core.EngineFrontier, core.EngineHybrid} {
-		t.Run(engine.String(), func(t *testing.T) {
-			opts := core.DefaultOptions()
-			opts.Engine = engine
+	for _, ec := range []engineCase{sequentialCase, parallelCase, frontierCase, hybridCase} {
+		t.Run(ec.name, func(t *testing.T) {
+			opts := ec.options()
 			g1, g2, s := testSession(t, 42, 300, opts, 3)
 			st := s.ExportState()
 

@@ -38,8 +38,9 @@ func ValidName(name string) bool {
 	if !nameRE.MatchString(name) {
 		return false
 	}
-	// Reserved: shard directories live alongside job files inside a tenant
-	// root, and migration moves root-level "shard-*" dirs into default/.
+	// Reserved: shard directories live inside a tenant root, and a
+	// root-level "shard-*" directory marks a pre-tenant data dir, which the
+	// store refuses at open; a tenant root of that name would look like one.
 	if len(name) >= 6 && name[:6] == "shard-" {
 		return false
 	}

@@ -2,11 +2,23 @@ package reconcile_test
 
 import (
 	"bytes"
+	"context"
+	"slices"
 	"strings"
 	"testing"
 
 	"github.com/sociograph/reconcile"
+	"github.com/sociograph/reconcile/internal/mapreduce"
 )
+
+// runOnce is a one-shot run: a Reconciler over opts and seeds, run once.
+func runOnce(g1, g2 *reconcile.Graph, seeds []reconcile.Pair, opts reconcile.Options) (*reconcile.Result, error) {
+	rec, err := reconcile.New(g1, g2, reconcile.WithOptions(opts), reconcile.WithSeeds(seeds))
+	if err != nil {
+		return nil, err
+	}
+	return rec.Run(context.Background())
+}
 
 // TestQuickstart is the end-to-end flow of the README through the public
 // API only: generate a network, derive two partial copies, seed, reconcile,
@@ -18,7 +30,7 @@ func TestQuickstart(t *testing.T) {
 	truth := reconcile.IdentityPairs(g.NumNodes())
 	seeds := reconcile.Seeds(r, truth, 0.10)
 
-	res, err := reconcile.Reconcile(g1, g2, seeds, reconcile.DefaultOptions())
+	res, err := runOnce(g1, g2, seeds, reconcile.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,25 +51,16 @@ func TestFacadeEnginesAgree(t *testing.T) {
 	seeds := reconcile.Seeds(r, reconcile.IdentityPairs(g.NumNodes()), 0.15)
 	opts := reconcile.DefaultOptions()
 
-	direct, err := reconcile.Reconcile(g1, g2, seeds, opts)
+	direct, err := runOnce(g1, g2, seeds, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mr, err := reconcile.ReconcileMapReduce(g1, g2, seeds, opts)
+	mr, err := mapreduce.Reconcile(g1, g2, seeds, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	set := map[reconcile.Pair]bool{}
-	for _, p := range direct.Pairs {
-		set[p] = true
-	}
-	if len(mr.Pairs) != len(direct.Pairs) {
-		t.Fatalf("MapReduce found %d pairs, direct %d", len(mr.Pairs), len(direct.Pairs))
-	}
-	for _, p := range mr.Pairs {
-		if !set[p] {
-			t.Fatalf("MapReduce pair %v not found by direct engine", p)
-		}
+	if !slices.Equal(mr.Pairs, direct.Pairs) {
+		t.Fatalf("MapReduce found %d pairs, direct %d, or in a different order", len(mr.Pairs), len(direct.Pairs))
 	}
 }
 
@@ -143,7 +146,7 @@ func TestFacadeDegreeCurveAndTruth(t *testing.T) {
 	g := reconcile.GeneratePA(r, 400, 5)
 	g1, g2 := reconcile.IndependentCopies(r, g, 0.8, 0.8)
 	seeds := reconcile.Seeds(r, reconcile.IdentityPairs(400), 0.2)
-	res, err := reconcile.Reconcile(g1, g2, seeds, reconcile.DefaultOptions())
+	res, err := runOnce(g1, g2, seeds, reconcile.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,10 +162,7 @@ func TestFacadeDegreeCurveAndTruth(t *testing.T) {
 
 func TestFacadeErrors(t *testing.T) {
 	g := reconcile.FromEdges(2, nil)
-	if _, err := reconcile.Reconcile(g, g, nil, reconcile.Options{}); err == nil {
+	if _, err := runOnce(g, g, nil, reconcile.Options{}); err == nil {
 		t.Error("zero options accepted")
-	}
-	if _, err := reconcile.ReconcileMapReduce(g, g, []reconcile.Pair{{Left: 5, Right: 0}}, reconcile.DefaultOptions()); err == nil {
-		t.Error("bad seed accepted")
 	}
 }

@@ -18,8 +18,7 @@ type PhaseStat = core.PhaseStat
 // the two observed networks with New, then drive it — run full sweeps under
 // a context, feed newly learned trusted links as they arrive (users keep
 // connecting their accounts), observe progress, and snapshot results at any
-// point. It supersedes the free functions Reconcile, ReconcileMapReduce and
-// NewSession.
+// point.
 //
 // A Reconciler is not safe for concurrent use; serialize access externally
 // (cmd/serve shows the pattern).
@@ -51,8 +50,8 @@ func WithIterations(k int) Option { return func(s *settings) { s.opts.Iterations
 // runs parallel scans while commits are dense and switches to the frontier
 // scheduler once the per-sweep commit rate drops below the measured
 // crossover; EngineFrontier is the pure incremental scheduler,
-// EngineParallel and EngineSequential re-scan all candidates every pass).
-// All engines produce bit-identical matchings.
+// EngineParallel re-scans all candidates every pass). All engines produce
+// bit-identical matchings.
 func WithEngine(e Engine) Option { return func(s *settings) { s.opts.Engine = e } }
 
 // WithScoring selects the candidate ranking function (default
@@ -100,8 +99,7 @@ func WithSeeds(seeds []Pair) Option {
 // or mutate state from inside the hook.
 func WithProgress(fn func(PhaseEvent)) Option { return func(s *settings) { s.progress = fn } }
 
-// WithOptions replaces the whole configuration with a legacy Options struct
-// — the bridge for code migrating from the deprecated free functions.
+// WithOptions replaces the whole configuration with an Options struct.
 // Options given before it are overwritten; options after it refine it.
 func WithOptions(o Options) Option { return func(s *settings) { s.opts = o } }
 
@@ -148,8 +146,8 @@ func (r *Reconciler) RunUntilStable(ctx context.Context, maxSweeps int) (*Result
 // the new links.
 func (r *Reconciler) AddSeeds(seeds []Pair) error { return r.sess.AddSeeds(seeds) }
 
-// Result snapshots the current state in Reconcile's output layout: all
-// links (seeds first), discoveries, and per-bucket phase statistics.
+// Result snapshots the current state: all links (seeds first), discoveries,
+// and per-bucket phase statistics.
 func (r *Reconciler) Result() *Result { return r.sess.Result() }
 
 // Len returns the current number of links, seeds included.

@@ -37,7 +37,7 @@ func TestFunctionalOptionsSetFields(t *testing.T) {
 	rec, err := reconcile.New(g1, g2,
 		reconcile.WithThreshold(3),
 		reconcile.WithIterations(4),
-		reconcile.WithEngine(reconcile.EngineSequential),
+		reconcile.WithEngine(reconcile.EngineFrontier),
 		reconcile.WithScoring(reconcile.ScoreAdamicAdar),
 		reconcile.WithTieBreak(reconcile.TieLowestID),
 		reconcile.WithWorkers(5),
@@ -52,7 +52,7 @@ func TestFunctionalOptionsSetFields(t *testing.T) {
 	want := reconcile.Options{
 		Threshold:        3,
 		Iterations:       4,
-		Engine:           reconcile.EngineSequential,
+		Engine:           reconcile.EngineFrontier,
 		Scoring:          reconcile.ScoreAdamicAdar,
 		Ties:             reconcile.TieLowestID,
 		Workers:          5,
@@ -65,7 +65,7 @@ func TestFunctionalOptionsSetFields(t *testing.T) {
 		t.Fatalf("Options() = %+v, want %+v", got, want)
 	}
 
-	// WithOptions bridges a legacy struct; later options refine it.
+	// WithOptions installs a whole struct; later options refine it.
 	legacy := reconcile.DefaultOptions()
 	legacy.Threshold = 7
 	rec, err = reconcile.New(g1, g2,
@@ -95,8 +95,9 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-// The deprecated free function must produce results byte-identical to the
-// new API, for the default and for a customized configuration.
+// Configuring by one Options struct (WithOptions) must produce results
+// byte-identical to the individual With functions, for the default and for
+// a customized configuration.
 func TestDeprecatedWrapperEquivalence(t *testing.T) {
 	g1, g2, seeds := reconcilerInstance(4, 600)
 	cases := []struct {
@@ -115,7 +116,8 @@ func TestDeprecatedWrapperEquivalence(t *testing.T) {
 				o := reconcile.DefaultOptions()
 				o.Threshold = 3
 				o.Iterations = 1
-				o.Engine = reconcile.EngineSequential
+				o.Engine = reconcile.EngineParallel
+				o.Workers = 1
 				o.Ties = reconcile.TieLowestID
 				o.Scoring = reconcile.ScoreAdamicAdar
 				return o
@@ -123,7 +125,8 @@ func TestDeprecatedWrapperEquivalence(t *testing.T) {
 			newOpts: []reconcile.Option{
 				reconcile.WithThreshold(3),
 				reconcile.WithIterations(1),
-				reconcile.WithEngine(reconcile.EngineSequential),
+				reconcile.WithEngine(reconcile.EngineParallel),
+				reconcile.WithWorkers(1),
 				reconcile.WithTieBreak(reconcile.TieLowestID),
 				reconcile.WithScoring(reconcile.ScoreAdamicAdar),
 			},
@@ -131,7 +134,7 @@ func TestDeprecatedWrapperEquivalence(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			old, err := reconcile.Reconcile(g1, g2, seeds, tc.opts)
+			viaStruct, err := runOnce(g1, g2, seeds, tc.opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -143,9 +146,9 @@ func TestDeprecatedWrapperEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(old, fresh) {
-				t.Fatalf("results differ:\nold   %d pairs, %d phases\nnew   %d pairs, %d phases",
-					len(old.Pairs), len(old.Phases), len(fresh.Pairs), len(fresh.Phases))
+			if !reflect.DeepEqual(viaStruct, fresh) {
+				t.Fatalf("results differ:\nWithOptions  %d pairs, %d phases\nWith…        %d pairs, %d phases",
+					len(viaStruct.Pairs), len(viaStruct.Phases), len(fresh.Pairs), len(fresh.Phases))
 			}
 			if len(fresh.NewPairs) == 0 {
 				t.Fatal("instance found nothing; equivalence is vacuous")
@@ -198,7 +201,7 @@ func TestRunCancellation(t *testing.T) {
 
 	// The instance is still valid: finishing the run reaches the same link
 	// set as an uninterrupted batch (the algorithm is monotone).
-	full, err := reconcile.Reconcile(g1, g2, seeds, reconcile.DefaultOptions())
+	full, err := runOnce(g1, g2, seeds, reconcile.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,14 +243,14 @@ func TestReconcilerAddSeeds(t *testing.T) {
 	}
 
 	// Ingest the second half (skipping conflicts with discovered links) and
-	// catch up to at least 90% of the one-shot run, as the Session did.
+	// catch up to at least 90% of the one-shot run.
 	for _, s := range seeds[half:] {
 		_ = rec.AddSeeds([]reconcile.Pair{s})
 	}
 	if _, err := rec.RunUntilStable(context.Background(), 10); err != nil {
 		t.Fatal(err)
 	}
-	batch, err := reconcile.Reconcile(g1, g2, seeds, reconcile.DefaultOptions())
+	batch, err := runOnce(g1, g2, seeds, reconcile.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

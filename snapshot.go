@@ -70,9 +70,9 @@ func (r *Reconciler) Resume(ctx context.Context) (*Result, error) {
 // Reconciler mid-schedule. Options may adjust execution without touching
 // matching semantics:
 //
-//   - WithEngine switches engines — all four resume bit-identically (the
-//     frontier's caches are rebuilt when switching into it; restoring as
-//     hybrid infers which regime the run is in from the recorded commit
+//   - WithEngine switches engines — every engine resumes bit-identically
+//     (the frontier's caches are rebuilt when switching into it; restoring
+//     as hybrid infers which regime the run is in from the recorded commit
 //     history);
 //   - WithWorkers and WithIterations re-tune execution;
 //   - WithProgress re-installs a progress hook (hooks do not serialize),

@@ -7,9 +7,32 @@ import (
 	"errors"
 	"os"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/sociograph/reconcile"
+	"github.com/sociograph/reconcile/internal/snapshot"
+)
+
+// engineCase is one engine configuration of the resume matrices.
+type engineCase struct {
+	name    string
+	engine  reconcile.Engine
+	workers int
+}
+
+// options returns the functional options selecting the case's engine.
+func (c engineCase) options() []reconcile.Option {
+	return []reconcile.Option{reconcile.WithEngine(c.engine), reconcile.WithWorkers(c.workers)}
+}
+
+// The matrix cases. The sequential reference is the parallel engine on one
+// worker.
+var (
+	sequentialCase = engineCase{"sequential", reconcile.EngineParallel, 1}
+	parallelCase   = engineCase{"parallel", reconcile.EngineParallel, 0}
+	frontierCase   = engineCase{"frontier", reconcile.EngineFrontier, 0}
+	hybridCase     = engineCase{"hybrid", reconcile.EngineHybrid, 0}
 )
 
 func snapshotInstance(t testing.TB) (*reconcile.Graph, *reconcile.Graph, []reconcile.Pair) {
@@ -19,6 +42,67 @@ func snapshotInstance(t testing.TB) (*reconcile.Graph, *reconcile.Graph, []recon
 	g1, g2 := reconcile.IndependentCopies(r, g, 0.7, 0.8)
 	seeds := reconcile.Seeds(r, reconcile.IdentityPairs(600), 0.15)
 	return g1, g2, seeds
+}
+
+// TestRestoreRetiredEngineValue pins the refusal of a state that records
+// engine value 1, which belonged to the retired sequential engine: restored
+// as recorded it fails with "unknown engine 1", while choosing the engine at
+// restore (WithEngine, WithWorkers) resumes it bit-identically.
+func TestRestoreRetiredEngineValue(t *testing.T) {
+	g1, g2, seeds := snapshotInstance(t)
+	opts := append(sequentialCase.options(), reconcile.WithSeeds(seeds))
+	ref, err := reconcile.New(g1, g2, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	events := 0
+	victim, err := reconcile.New(g1, g2, append(opts, reconcile.WithProgress(func(reconcile.PhaseEvent) {
+		if events++; events == 2 {
+			cancel()
+		}
+	}))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := victim.Run(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("victim err = %v, want context.Canceled", err)
+	}
+	var buf bytes.Buffer
+	if err := victim.SnapshotState(&buf); err != nil {
+		t.Fatal(err)
+	}
+	st, err := snapshot.ReadState(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Opts.Engine = 1
+	var retired bytes.Buffer
+	if err := snapshot.WriteState(&retired, st); err != nil {
+		t.Fatal(err)
+	}
+
+	_, err = reconcile.RestoreState(g1, g2, bytes.NewReader(retired.Bytes()))
+	if err == nil || !strings.Contains(err.Error(), "unknown engine 1") {
+		t.Fatalf("restore as recorded: err = %v, want unknown engine 1", err)
+	}
+	rec, err := reconcile.RestoreState(g1, g2, bytes.NewReader(retired.Bytes()), sequentialCase.options()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := rec.Resume(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("resumed run: %d pairs, want %d", len(got.Pairs), len(want.Pairs))
+	}
 }
 
 // TestSnapshotRestoreMidRun is the public-API face of the crash-safety
@@ -159,21 +243,20 @@ func TestRestoreOptionRules(t *testing.T) {
 	// sweeps find nothing either way). Restoring as hybrid from this
 	// converged hybrid snapshot exercises the regime-preserving mask;
 	// switching to the fixed engines exercises cache drop and rebuild.
-	for _, engine := range []reconcile.Engine{reconcile.EngineSequential, reconcile.EngineParallel, reconcile.EngineFrontier, reconcile.EngineHybrid} {
-		r2, err := reconcile.Restore(bytes.NewReader(snap),
-			reconcile.WithEngine(engine), reconcile.WithWorkers(2), reconcile.WithIterations(3))
+	for _, ec := range []engineCase{sequentialCase, parallelCase, frontierCase, hybridCase} {
+		r2, err := reconcile.Restore(bytes.NewReader(snap), append(ec.options(), reconcile.WithIterations(3))...)
 		if err != nil {
-			t.Fatalf("engine %v: %v", engine, err)
+			t.Fatalf("engine %v: %v", ec.name, err)
 		}
-		if got := r2.Options().Engine; got != engine {
-			t.Fatalf("engine = %v, want %v", got, engine)
+		if got := r2.Options(); got.Engine != ec.engine || got.Workers != ec.workers {
+			t.Fatalf("engine %v workers %d, want %v workers %d", got.Engine, got.Workers, ec.engine, ec.workers)
 		}
 		res, err := r2.RunUntilStable(context.Background(), 5)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(res.Pairs) != len(want.Pairs) {
-			t.Fatalf("engine %v: %d pairs after restore, want %d", engine, len(res.Pairs), len(want.Pairs))
+			t.Fatalf("engine %v: %d pairs after restore, want %d", ec.name, len(res.Pairs), len(want.Pairs))
 		}
 	}
 
