@@ -13,7 +13,7 @@
 // With -data-dir the server is crash-safe: every job is persisted to a
 // sharded, delta-checkpointed store under its tenant's root
 // (<data-dir>/<tenant>/shard-NN/...; graphs once, per-sweep checkpoints as
-// chains of one full state snapshot followed by cheap delta records), all
+// chains of one full checkpoint followed by cheap delta checkpoints), all
 // jobs are re-listed after a restart with their results intact, and a job
 // that was mid-run when the process died comes back as "interrupted" —
 // POST .../resume finishes it with a matching bit-identical to a
@@ -32,11 +32,14 @@
 // reads graph files written under the other, so -mmap can be flipped over
 // an existing data directory (graph files in the heap format are decoded
 // onto the heap behind the same lifetime API). -range-nodes shards the
-// checkpoint state of large jobs: a job whose graphs total more than
-// -range-nodes nodes checkpoints as per-node-range shard files plus a small
-// manifest — shards are written (and replayed at boot) in parallel, and the
-// manifest's durable rename is the checkpoint's commit point. 0 disables
-// sharding; existing jobs keep the chain geometry they were created with.
+// checkpoint state of large jobs: every checkpoint holds one record per
+// node range, ceil(graph nodes / -range-nodes) of them (0: one range).
+// Ranges 1..R-1 are shard files written in parallel; a commit file holding
+// the manifest and range 0 is written last, and its durable rename is the
+// checkpoint's commit point, so a one-range checkpoint is one file.
+// Existing jobs keep the range count they were created with. A job whose
+// chain has another layout (a bare state record, or a separate manifest
+// file) is skipped at boot with an error.
 //
 // Multi-tenancy: every job belongs to a tenant. The un-namespaced routes
 // below operate on the built-in "default" tenant, so single-tenant
@@ -159,7 +162,7 @@ func main() {
 	fullEvery := flag.Int("full-every", 8, "checkpoint chain period: one full state snapshot, then full-every-1 cheap delta records (1 = every checkpoint full)")
 	keep := flag.Int("keep", 3, "full checkpoint chains retained per job; older records are removed after each new full and on boot")
 	mmapGraphs := flag.Bool("mmap", reconcile.MmapSupported, "serve job graphs from read-only file mappings: new graphs are written in the mappable container format and restored jobs page them in on demand (either setting reads files written under the other)")
-	rangeNodes := flag.Int("range-nodes", 1<<20, "node-range shard target: jobs whose graphs total more than this many nodes checkpoint as per-range shard files plus a manifest, written and replayed in parallel (0: always one monolithic record)")
+	rangeNodes := flag.Int("range-nodes", 1<<20, "node-range shard target: each checkpoint holds ceil(graph nodes / this) range records, all but the first in shard files written in parallel (0: one range, one file per checkpoint)")
 	tenantsFile := flag.String("tenants", "", "tenant registry JSON ({\"tenants\": [{name, token|tokenEnv, weight, maxJobs, maxNodes, maxCheckpointBytes}, ...]}); empty: only the open default tenant")
 	adminToken := flag.String("admin-token", os.Getenv("RECONCILE_ADMIN_TOKEN"), "bearer token for /v1/admin (default $RECONCILE_ADMIN_TOKEN; empty leaves the admin API open)")
 	runSlots := flag.Int("run-slots", runtime.GOMAXPROCS(0), "concurrent run goroutines across all tenants, shared by weighted fair scheduling (0: unlimited)")

@@ -1,10 +1,12 @@
 package main
 
 import (
+	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -27,8 +29,12 @@ import (
 //	  default/                           one root per tenant
 //	    shard-00/ shard-01/ … shard-NN/  one directory per shard (-shards)
 //	      <id>.g1, <id>.g2               the immutable graphs, written once
-//	      <id>.ckpt-00000001.full        a full state checkpoint
-//	      <id>.ckpt-00000002.delta       a delta record (changes since #1)
+//	      <id>.ckpt-00000001.r0001.full  checkpoint #1, a full: ranges 1..R-1
+//	      <id>.ckpt-00000001.r….full       one shard file each (none if R=1),
+//	      <id>.ckpt-00000001.full          then the commit file: the manifest
+//	                                       and range 0
+//	      <id>.ckpt-00000002.delta       a delta checkpoint (changes since #1),
+//	                                     shard files likewise
 //	      <id>.ckpt-….delta | .full      … the chain continues; a full every
 //	                                     -full-every checkpoints
 //	      <id>.meta.json                 job-level bookkeeping
@@ -44,17 +50,23 @@ import (
 // incrementally afterwards, and the serve layer checks that figure against
 // the tenant's checkpoint-byte quota at job admission.
 //
-// Checkpoints form chains: a full snapshot (reconcile.Checkpointer
-// .WriteFull), then cheap delta records holding only the pairs, phase
-// entries and frontier-cache edits since the previous checkpoint —
-// O(churn) instead of O(matching), which is what lets per-sweep
-// checkpointing stay on by default at paper scale. Recovery replays the
-// newest readable full plus its contiguous deltas; a missing or corrupt
-// trailing record makes recovery fall back to the last consistent prefix
-// and surface the job as "interrupted" (its next resume finishes
-// bit-identically from there — the chain resume-equivalence suite pins
-// this). Retention keeps the last -keep full chains per job and removes
-// older records after each new full and on boot.
+// Checkpoints form chains: a full snapshot, then cheap deltas holding only
+// the pairs, phase entries and frontier-cache edits since the previous
+// checkpoint — O(churn) instead of O(matching), which is what lets
+// per-sweep checkpointing stay on by default at paper scale. Every
+// checkpoint is a reconcile.RangedCheckpointer checkpoint of the job's
+// fixed range count R (ceil(nodes/-range-nodes), 1 when the flag is 0):
+// a manifest plus R per-node-range records. Ranges 1..R-1 are shard files
+// written in parallel; the manifest and range 0 share the commit file,
+// written last, whose rename commits the checkpoint — so a one-range
+// checkpoint is one file. Recovery replays the newest readable full plus
+// its contiguous deltas; a missing or corrupt trailing checkpoint makes
+// recovery fall back to the last consistent prefix and surface the job as
+// "interrupted" (its next resume finishes bit-identically from there — the
+// chain resume-equivalence suites pin this). A chain of another layout (a
+// bare state record, or a separate manifest file) is refused and the job
+// skipped at boot. Retention keeps the last -keep full chains per job and
+// removes older checkpoints after each new full and on boot.
 //
 // Every write is atomic — a temp file in the same directory, fsynced,
 // renamed, directory fsynced — so a crash mid-checkpoint leaves the
@@ -98,12 +110,11 @@ type storeConfig struct {
 	// (falling back to heap copies where mmap is unavailable). Either
 	// setting reads files written under the other.
 	mmap bool
-	// rangeNodes is the node-range shard target: a new job whose graphs
-	// total more than rangeNodes nodes checkpoints as per-range shard files
-	// plus a manifest (written and replayed in parallel) instead of one
-	// monolithic record per checkpoint. 0 disables ranged chains. The shard
-	// count is fixed per job at submission; existing jobs keep the geometry
-	// their chain was created with.
+	// rangeNodes is the node-range shard target: a new job checkpoints as
+	// ceil(nodes/rangeNodes) ranges (at most reconcile.MaxStateRanges), the
+	// shard files of all but range 0 written in parallel. 0 means one range.
+	// The range count is fixed per job at submission; existing jobs keep the
+	// geometry their chain was created with.
 	rangeNodes int
 }
 
@@ -277,7 +288,7 @@ func (ts *tenantStore) allShardDirs() []string {
 func (ts *tenantStore) jobStore(id string) *jobStore {
 	h := fnv.New32a()
 	h.Write([]byte(id))
-	return &jobStore{ts: ts, id: id, dir: ts.shardDirs[h.Sum32()%uint32(len(ts.shardDirs))]}
+	return &jobStore{ts: ts, id: id, dir: ts.shardDirs[h.Sum32()%uint32(len(ts.shardDirs))], ranges: 1}
 }
 
 // jobMeta is the JSON sidecar of a persisted job: everything the server
@@ -291,9 +302,9 @@ type jobMeta struct {
 	UntilStable bool        `json:"untilStable"`
 	MaxSweeps   int         `json:"maxSweeps"`
 	Phases      []phaseJSON `json:"phases"`
-	// Ranges is the job's chain geometry: > 1 means checkpoints are written
-	// as that many per-node-range shard files plus a manifest. Fixed when
-	// the job is submitted; recovery replays with the same geometry.
+	// Ranges is the job's chain geometry: every checkpoint holds that many
+	// per-node-range records (0, or absent, reads as 1). Fixed when the job
+	// is submitted; recovery replays with the same geometry.
 	Ranges int `json:"ranges,omitempty"`
 	// Trace is the job's span recorder snapshot as of this meta write. A
 	// restart restores it (trace.Restore), so a resumed job's trace timeline
@@ -311,21 +322,19 @@ type jobStore struct {
 	dir string
 	id  string
 
-	seq       int // sequence number of the newest chain record on disk
-	sinceFull int // chain records written since the last full
+	seq       int // sequence number of the newest checkpoint on disk
+	sinceFull int // checkpoints written since the last full
 	haveBase  bool
-	ckpt      reconcile.Checkpointer
-	// ranges > 1 switches the chain to ranged form: each checkpoint is
-	// ranges shard files plus a manifest, the manifest written last as the
-	// commit point. rckpt is its checkpointer, built lazily.
+	// ranges is the job's chain geometry: each checkpoint is ranges records,
+	// range 0 in the commit file. rckpt is its checkpointer, built lazily.
 	ranges int
 	rckpt  *reconcile.RangedCheckpointer
 
 	// tracer, when set by the serve layer, receives a checkpoint-write span
-	// per durable record (each range shard and the manifest separately on
-	// ranged chains). Set before any run goroutine starts and never replaced;
-	// the recorder itself is concurrency-safe, so the ranged path's parallel
-	// shard writers may all emit spans at once. All emission is nil-safe.
+	// per durable checkpoint file: the commit file, and each shard file of
+	// ranges 1..R-1. Set before any run goroutine starts and never replaced;
+	// the recorder itself is concurrency-safe, so the parallel shard writers
+	// may all emit spans at once. All emission is nil-safe.
 	tracer *trace.Recorder
 	// boot accumulates spans for work done before the job's recorder exists —
 	// graph opens and chain replay at load. The serve layer observes them
@@ -349,12 +358,12 @@ func (js *jobStore) path(suffix string) string {
 	return filepath.Join(js.dir, js.id+suffix)
 }
 
-func (js *jobStore) chainPath(seq int, kind string) string {
-	return js.path(fmt.Sprintf(".ckpt-%08d.%s", seq, kind))
-}
-
-// rangePath names one range shard of a ranged checkpoint.
-func (js *jobStore) rangePath(seq, rng int, kind string) string {
+// ckptPath names range rng's file of checkpoint seq: the commit file for
+// range 0, a shard file otherwise.
+func (js *jobStore) ckptPath(seq, rng int, kind string) string {
+	if rng == 0 {
+		return js.path(fmt.Sprintf(".ckpt-%08d.%s", seq, kind))
+	}
 	return js.path(fmt.Sprintf(".ckpt-%08d.r%04d.%s", seq, rng, kind))
 }
 
@@ -440,9 +449,7 @@ func syncDir(dir string) error {
 // fixes the job's chain geometry from their size. Called once at submission.
 func (js *jobStore) saveGraphs(g1, g2 *reconcile.Graph) error {
 	cfg := js.ts.store.cfg
-	if cfg.rangeNodes > 0 {
-		js.ranges = reconcile.StateRangeCount(g1.NumNodes(), g2.NumNodes(), cfg.rangeNodes)
-	}
+	js.ranges = reconcile.StateRangeCount(g1.NumNodes(), g2.NumNodes(), cfg.rangeNodes)
 	for _, f := range []struct {
 		suffix string
 		g      *reconcile.Graph
@@ -460,53 +467,90 @@ func (js *jobStore) saveGraphs(g1, g2 *reconcile.Graph) error {
 	return nil
 }
 
-// checkpoint appends one record to the job's chain — a delta when a durable
-// base exists and the chain period allows it, a full otherwise — then
-// persists the meta. The chain record lands first: if the crash window falls
+// checkpoint appends one checkpoint to the job's chain — a delta when a
+// durable base exists and the chain period allows it, a full otherwise —
+// then persists the meta. Ranges 1..R-1 land first, written concurrently
+// (each atomically, so every core the host has can fsync a slice of the
+// state at once); then the commit file, holding the manifest followed by
+// range 0, whose rename is the checkpoint's commit point. A crash before it
+// leaves shard files recovery ignores, and a one-range job writes exactly
+// one file. The meta lands after the commit: if the crash window falls
 // between the two renames, recovery sees a fresh state with slightly stale
 // bookkeeping, which restore reconciles (counters are re-derived from the
 // state). Any write failure poisons the delta base, so the next checkpoint
 // re-anchors the chain with a full instead of building on a record that may
-// never have become durable.
+// never have become durable; a retry at the same sequence number is
+// therefore always a full, and a full wins over a delta there.
 func (js *jobStore) checkpoint(rec *reconcile.Reconciler, meta jobMeta) error {
 	meta.Ranges = js.ranges
-	if js.ranges > 1 {
-		return js.checkpointRanged(rec, meta)
-	}
 	seq := js.seq + 1
-	wantFull := !js.haveBase || js.sinceFull+1 >= js.ts.store.cfg.fullEvery
-	if !wantFull {
-		sp := js.tracer.Begin(trace.KindCheckpointWrite, fmt.Sprintf("delta #%d", seq))
-		err := js.writeTracked(js.chainPath(seq, "delta"), func(w *os.File) error {
-			return js.ckpt.WriteDelta(w, rec)
-		})
-		sp.End()
-		switch {
-		case err == nil:
-			js.sinceFull++
-		case errors.Is(err, reconcile.ErrFullRequired):
-			wantFull = true
-		default:
-			js.haveBase = false
-			return fmt.Errorf("store: delta checkpoint of %s: %w", js.id, err)
-		}
+	if js.rckpt == nil {
+		js.rckpt = reconcile.NewRangedCheckpointer(js.ranges)
 	}
-	if wantFull {
-		sp := js.tracer.Begin(trace.KindCheckpointWrite, fmt.Sprintf("full #%d", seq))
-		err := js.writeTracked(js.chainPath(seq, "full"), func(w *os.File) error {
-			return js.ckpt.WriteFull(w, rec)
-		})
-		sp.End()
-		if err != nil {
-			js.haveBase = false
-			return fmt.Errorf("store: full checkpoint of %s: %w", js.id, err)
+	// The commit file's span opens before Prepare: exporting and diffing the
+	// state are part of writing the checkpoint.
+	sp := js.tracer.Begin(trace.KindCheckpointWrite, "")
+	wantFull := !js.haveBase || js.sinceFull+1 >= js.ts.store.cfg.fullEvery
+	ck, err := js.rckpt.Prepare(rec, wantFull)
+	if errors.Is(err, reconcile.ErrFullRequired) {
+		ck, err = js.rckpt.Prepare(rec, true)
+	}
+	kind := "delta"
+	if err == nil {
+		if ck.Full() {
+			kind = "full"
+		}
+		sp.SetDetail(fmt.Sprintf("%s #%d", kind, seq))
+		err = js.writeCheckpoint(seq, kind, ck)
+	}
+	sp.End()
+	if err != nil {
+		js.haveBase = false
+		return fmt.Errorf("store: checkpoint of %s: %w", js.id, err)
+	}
+	js.rckpt.Commit(ck)
+	if ck.Full() {
+		// A failed delta attempt at this seq may have left files behind;
+		// the full supersedes them.
+		for j := 0; j < ck.Ranges(); j++ {
+			js.removeTracked(js.ckptPath(seq, j, "delta"))
 		}
 		js.sinceFull = 0
 		js.haveBase = true
 		js.retireOld()
+	} else {
+		js.sinceFull++
 	}
 	js.seq = seq
 	return js.writeMeta(meta)
+}
+
+// writeCheckpoint makes checkpoint seq durable: the shard files of ranges
+// 1..R-1 concurrently, then the commit file.
+func (js *jobStore) writeCheckpoint(seq int, kind string, ck *reconcile.RangedCheckpoint) error {
+	errs := make([]error, ck.Ranges())
+	var wg sync.WaitGroup
+	for j := 1; j < ck.Ranges(); j++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sp := js.tracer.Begin(trace.KindCheckpointWrite, fmt.Sprintf("%s #%d r%d/%d", kind, seq, j+1, ck.Ranges()))
+			errs[j] = js.writeTracked(js.ckptPath(seq, j, kind), func(w *os.File) error {
+				return ck.EncodePart(j, w)
+			})
+			sp.End()
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		return err
+	}
+	return js.writeTracked(js.ckptPath(seq, 0, kind), func(w *os.File) error {
+		if err := ck.EncodeManifest(w); err != nil {
+			return err
+		}
+		return ck.EncodePart(0, w)
+	})
 }
 
 func (js *jobStore) writeMeta(meta jobMeta) error {
@@ -519,91 +563,12 @@ func (js *jobStore) writeMeta(meta jobMeta) error {
 	return nil
 }
 
-// checkpointRanged appends one ranged checkpoint: the ranges shard files
-// written concurrently (each atomically, so every core the host has can
-// fsync a slice of the state at once), then the manifest — whose durable
-// presence is the checkpoint's commit point. A crash before the manifest
-// rename leaves orphan shard files recovery ignores; a crash after it left a
-// complete checkpoint. Failure handling matches the monolithic path: any
-// write error poisons the delta base so the next checkpoint re-anchors with
-// a full.
-func (js *jobStore) checkpointRanged(rec *reconcile.Reconciler, meta jobMeta) error {
-	seq := js.seq + 1
-	if js.rckpt == nil {
-		js.rckpt = reconcile.NewRangedCheckpointer(js.ranges)
-	}
-	wantFull := !js.haveBase || js.sinceFull+1 >= js.ts.store.cfg.fullEvery
-	ck, err := js.rckpt.Prepare(rec, wantFull)
-	if errors.Is(err, reconcile.ErrFullRequired) {
-		wantFull = true
-		ck, err = js.rckpt.Prepare(rec, true)
-	}
-	if err != nil {
-		js.haveBase = false
-		return fmt.Errorf("store: ranged checkpoint of %s: %w", js.id, err)
-	}
-	kind := "delta"
-	if ck.Full() {
-		kind = "full"
-	}
-	errs := make([]error, ck.Ranges())
-	var wg sync.WaitGroup
-	for j := 0; j < ck.Ranges(); j++ {
-		wg.Add(1)
-		go func(j int) {
-			defer wg.Done()
-			sp := js.tracer.Begin(trace.KindCheckpointWrite, fmt.Sprintf("%s #%d r%d/%d", kind, seq, j+1, ck.Ranges()))
-			errs[j] = js.writeTracked(js.rangePath(seq, j, kind), func(w *os.File) error {
-				return ck.EncodePart(j, w)
-			})
-			sp.End()
-		}(j)
-	}
-	wg.Wait()
-	for _, werr := range errs {
-		if werr != nil {
-			js.haveBase = false
-			return fmt.Errorf("store: ranged checkpoint of %s: %w", js.id, werr)
-		}
-	}
-	sp := js.tracer.Begin(trace.KindCheckpointWrite, fmt.Sprintf("manifest #%d", seq))
-	err = js.writeTracked(js.chainPath(seq, "manifest"), func(w *os.File) error {
-		return ck.EncodeManifest(w)
-	})
-	sp.End()
-	if err != nil {
-		js.haveBase = false
-		return fmt.Errorf("store: ranged checkpoint of %s: %w", js.id, err)
-	}
-	js.rckpt.Commit(ck)
-	// A failed attempt at this seq may have left shard files of the other
-	// kind; now that the manifest committed this one, drop them so recovery
-	// never sees two candidate shard sets for one checkpoint.
-	other := "full"
-	if ck.Full() {
-		other = "delta"
-	}
-	for j := 0; j < ck.Ranges(); j++ {
-		js.removeTracked(js.rangePath(seq, j, other))
-	}
-	if ck.Full() {
-		js.sinceFull = 0
-		js.haveBase = true
-		js.retireOld()
-	} else {
-		js.sinceFull++
-	}
-	js.seq = seq
-	return js.writeMeta(meta)
-}
-
 // releaseBase drops the in-memory delta base — a full deep copy of the
-// session state the Checkpointer keeps to diff the next record against.
+// session state the checkpointer keeps to diff the next record against.
 // Called once a job goes idle: idle jobs checkpoint rarely, holding
 // megabytes per terminal job forever is how servers bloat, and the next
 // chain record simply re-anchors with a full.
 func (js *jobStore) releaseBase() {
-	js.ckpt = reconcile.Checkpointer{}
 	js.rckpt = nil
 	js.haveBase = false
 }
@@ -621,16 +586,19 @@ func (js *jobStore) purge() {
 	}
 }
 
-// chainRecord locates one checkpoint file of a job's chain. kind is "full"
-// or "delta" for a monolithic record, "manifest" for a ranged checkpoint's
-// commit record, or "part" (with rng and pfull) for one range shard.
+// oldManifest marks a chainRecord for a separate manifest file, the commit
+// record of an older ranged layout: listed so it is never mistaken for
+// anything else, and refused by recovery.
+const oldManifest = -1
+
+// chainRecord locates one checkpoint file of a job's chain: range rng's
+// record of checkpoint seq — the commit file when rng is 0, a shard file
+// otherwise.
 type chainRecord struct {
-	seq   int
-	full  bool // monolithic full snapshot
-	kind  string
-	rng   int
-	pfull bool // a "part" holding a full state record (vs a delta)
-	path  string
+	seq  int
+	rng  int
+	full bool // a full state record (vs a delta)
+	path string
 }
 
 // listChain returns the job's checkpoint files sorted by sequence number.
@@ -653,22 +621,19 @@ func (js *jobStore) listChain() []chainRecord {
 		if err != nil || seq <= 0 {
 			continue
 		}
-		switch kind {
-		case "full", "delta":
-			out = append(out, chainRecord{seq: seq, full: kind == "full", kind: kind, path: path})
-		case "manifest":
-			out = append(out, chainRecord{seq: seq, kind: "manifest", path: path})
-		default:
-			// rNNNN.full / rNNNN.delta: one range shard of a ranged checkpoint.
-			rngStr, pkind, ok := strings.Cut(kind, ".")
-			if !ok || len(rngStr) < 2 || rngStr[0] != 'r' {
+		rng := 0
+		if rngStr, k, ok := strings.Cut(kind, "."); ok { // rNNNN.full / rNNNN.delta
+			n, err := strconv.Atoi(strings.TrimPrefix(rngStr, "r"))
+			if !strings.HasPrefix(rngStr, "r") || err != nil || n < 1 {
 				continue
 			}
-			rng, err := strconv.Atoi(rngStr[1:])
-			if err != nil || rng < 0 || (pkind != "full" && pkind != "delta") {
-				continue
-			}
-			out = append(out, chainRecord{seq: seq, kind: "part", rng: rng, pfull: pkind == "full", path: path})
+			rng, kind = n, k
+		}
+		switch {
+		case kind == "full" || kind == "delta":
+			out = append(out, chainRecord{seq: seq, rng: rng, full: kind == "full", path: path})
+		case kind == "manifest":
+			out = append(out, chainRecord{seq: seq, rng: oldManifest, path: path})
 		}
 	}
 	sort.Slice(out, func(a, b int) bool {
@@ -680,59 +645,39 @@ func (js *jobStore) listChain() []chainRecord {
 	return out
 }
 
-// seqGroup collects the files of one checkpoint sequence number: at most one
-// monolithic record, and/or a ranged checkpoint's manifest and shard files.
+// seqGroup collects the files of one checkpoint sequence number by kind,
+// keyed by range: full[0] and delta[0] are commit files.
 type seqGroup struct {
-	seq       int
-	mono      *chainRecord
-	manifest  string
-	partFull  map[int]string
-	partDelta map[int]string
+	seq         int
+	full, delta map[int]string
 }
 
 // groupChain folds per-file records into per-checkpoint groups, ascending.
 func groupChain(records []chainRecord) []seqGroup {
 	var groups []seqGroup
-	bySeq := map[int]int{}
-	for i := range records {
-		rec := &records[i]
-		gi, ok := bySeq[rec.seq]
-		if !ok {
-			gi = len(groups)
-			bySeq[rec.seq] = gi
-			groups = append(groups, seqGroup{seq: rec.seq, partFull: map[int]string{}, partDelta: map[int]string{}})
+	for _, rec := range records {
+		if len(groups) == 0 || groups[len(groups)-1].seq != rec.seq {
+			groups = append(groups, seqGroup{seq: rec.seq, full: map[int]string{}, delta: map[int]string{}})
 		}
-		g := &groups[gi]
-		switch rec.kind {
-		case "full", "delta":
-			g.mono = rec
-		case "manifest":
-			g.manifest = rec.path
-		case "part":
-			if rec.pfull {
-				g.partFull[rec.rng] = rec.path
-			} else {
-				g.partDelta[rec.rng] = rec.path
-			}
+		g := &groups[len(groups)-1]
+		if rec.full {
+			g.full[rec.rng] = rec.path
+		} else {
+			g.delta[rec.rng] = rec.path
 		}
 	}
-	sort.Slice(groups, func(a, b int) bool { return groups[a].seq < groups[b].seq })
 	return groups
 }
 
 // retireOld enforces keep-last-K retention: chain records older than the
-// K-th newest full snapshot are deleted. Called after each new full and once
-// per job on boot.
+// K-th newest committed full are deleted. Called after each new full and
+// once per job on boot.
 func (js *jobStore) retireOld() {
 	records := js.listChain()
-	groups := groupChain(records)
-	fullSeqs := make([]int, 0, len(groups))
-	for _, g := range groups {
-		// An anchor is a monolithic full, or a committed ranged full
-		// (manifest plus at least one full shard — completeness is recovery's
-		// concern; retention only needs to know where chains can start).
-		if (g.mono != nil && g.mono.full) || (g.manifest != "" && len(g.partFull) > 0) {
-			fullSeqs = append(fullSeqs, g.seq)
+	var fullSeqs []int
+	for _, rec := range records {
+		if rec.full && rec.rng == 0 {
+			fullSeqs = append(fullSeqs, rec.seq)
 		}
 	}
 	if len(fullSeqs) <= js.ts.store.cfg.keep {
@@ -747,26 +692,24 @@ func (js *jobStore) retireOld() {
 }
 
 // recoverState replays the job's chain: the newest readable full checkpoint
-// (monolithic, or a ranged manifest plus all its full shards) and the
-// contiguous, applicable checkpoints that follow it. dropped counts the
-// checkpoints past the replayed prefix (corrupt, gapped, torn, or built on
-// a corrupt full) — zero means the restored state is the newest durable
-// checkpoint.
+// and the contiguous, applicable delta checkpoints that follow it. dropped
+// counts the checkpoints past the replayed prefix (corrupt, gapped, torn,
+// or built on a corrupt full) — zero means the restored state is the
+// newest durable checkpoint.
 func (js *jobStore) recoverState() (st *reconcile.SessionState, dropped int, err error) {
-	groups := groupChain(js.listChain())
+	records := js.listChain()
+	for _, rec := range records {
+		if rec.rng == oldManifest {
+			return nil, 0, fmt.Errorf("%s: a separate manifest file is an unsupported checkpoint layout", filepath.Base(rec.path))
+		}
+	}
+	groups := groupChain(records)
 	var firstErr error
 	for i := len(groups) - 1; i >= 0; i-- {
-		gr := groups[i]
-		var lastApplied int
-		var rerr error
-		switch {
-		case gr.manifest != "" && len(gr.partFull) > 0:
-			st, lastApplied, rerr = js.replayRangedFrom(groups, i)
-		case gr.mono != nil && gr.mono.full:
-			st, lastApplied, rerr = js.replayMonoFrom(groups, i)
-		default:
+		if groups[i].full[0] == "" {
 			continue
 		}
+		st, lastApplied, rerr := js.replayFrom(groups, i)
 		if rerr != nil {
 			if firstErr == nil {
 				firstErr = rerr
@@ -786,137 +729,106 @@ func (js *jobStore) recoverState() (st *reconcile.SessionState, dropped int, err
 	return nil, 0, errors.New("no readable checkpoint")
 }
 
-// replayMonoFrom reads the monolithic full at groups[i] and applies the
-// monolithic deltas that follow it, stopping at the first gap, unreadable
-// record, or delta that does not fit — the last consistent prefix.
-func (js *jobStore) replayMonoFrom(groups []seqGroup, i int) (*reconcile.SessionState, int, error) {
-	rec := groups[i].mono
-	start := time.Now()
-	f, err := os.Open(rec.path)
-	if err != nil {
-		return nil, 0, fmt.Errorf("chain full #%d: %w", rec.seq, err)
-	}
-	st, err := reconcile.ReadSessionState(f)
-	f.Close()
-	if err != nil {
-		return nil, 0, fmt.Errorf("chain full #%d: %w", rec.seq, err)
-	}
-	js.bootObserve(trace.KindCheckpointReplay, fmt.Sprintf("full #%d", rec.seq), time.Since(start))
-	lastApplied := rec.seq
-	for _, g := range groups[i+1:] {
-		if g.mono == nil || g.mono.full || g.seq != lastApplied+1 {
-			break // a later full starts its own chain; a gap ends this one
-		}
-		start := time.Now()
-		df, err := os.Open(g.mono.path)
-		if err != nil {
-			break
-		}
-		d, err := reconcile.ReadStateDelta(df)
-		df.Close()
-		if err != nil {
-			break
-		}
-		if err := st.Apply(d); err != nil {
-			break
-		}
-		lastApplied = g.seq
-		js.bootObserve(trace.KindCheckpointReplay, fmt.Sprintf("delta #%d", g.seq), time.Since(start))
-	}
-	return st, lastApplied, nil
-}
-
-// readManifestFile reads one ranged checkpoint's manifest record.
-func readManifestFile(path string) (*reconcile.RangeManifest, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return reconcile.ReadRangeManifest(f)
-}
-
-// replayRangedFrom reads the ranged full at groups[i] — its manifest and
-// every full shard — and applies the ranged delta checkpoints that follow
-// it. Each later checkpoint is replayed all-or-nothing onto shard clones
-// and then merge-verified against its own manifest, so a torn or corrupt
-// checkpoint ends the replay at the last consistent prefix instead of
-// restoring a mixed state.
-func (js *jobStore) replayRangedFrom(groups []seqGroup, i int) (*reconcile.SessionState, int, error) {
+// replayFrom reads the full checkpoint at groups[i] and applies the delta
+// checkpoints that follow it, stopping at the first gap, missing,
+// unreadable or torn checkpoint, or delta that does not fit — the last
+// consistent prefix, never a mixed state.
+func (js *jobStore) replayFrom(groups []seqGroup, i int) (*reconcile.SessionState, int, error) {
 	anchor := groups[i]
-	man, err := readManifestFile(anchor.manifest)
-	if err != nil {
-		return nil, 0, fmt.Errorf("chain manifest #%d: %w", anchor.seq, err)
+	start := time.Now()
+	man, parts, err := readCheckpoint(js.ranges, anchor.full, reconcile.ReadSessionState)
+	var merged *reconcile.SessionState
+	if err == nil {
+		merged, err = reconcile.MergeRangeParts(man, parts)
 	}
-	parts := make([]*reconcile.SessionState, man.Ranges())
-	for j := range parts {
-		path, ok := anchor.partFull[j]
-		if !ok {
-			return nil, 0, fmt.Errorf("chain full #%d: missing range %d of %d", anchor.seq, j, man.Ranges())
-		}
-		start := time.Now()
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, 0, fmt.Errorf("chain full #%d range %d: %w", anchor.seq, j, err)
-		}
-		parts[j], err = reconcile.ReadSessionState(f)
-		f.Close()
-		if err != nil {
-			return nil, 0, fmt.Errorf("chain full #%d range %d: %w", anchor.seq, j, err)
-		}
-		js.bootObserve(trace.KindCheckpointReplay, fmt.Sprintf("full #%d r%d/%d", anchor.seq, j+1, man.Ranges()), time.Since(start))
-	}
-	merged, err := reconcile.MergeRangeParts(man, parts)
 	if err != nil {
 		return nil, 0, fmt.Errorf("chain full #%d: %w", anchor.seq, err)
 	}
+	js.bootObserve(trace.KindCheckpointReplay, fmt.Sprintf("full #%d", anchor.seq), time.Since(start))
 	lastApplied := anchor.seq
 	for _, g := range groups[i+1:] {
-		if g.seq != lastApplied+1 || g.manifest == "" || len(g.partFull) > 0 {
-			break // a later full starts its own chain; a gap ends this one
+		// A gap ends the chain. A later full was unreadable, or recovery
+		// would have started there; a delta sharing its number was written
+		// by a failed earlier attempt and still continues this chain.
+		if g.seq != lastApplied+1 {
+			break
 		}
-		m2, err := readManifestFile(g.manifest)
+		start := time.Now()
+		next, m, err := replayDelta(js.ranges, g, parts)
 		if err != nil {
 			break
 		}
-		clones := make([]*reconcile.SessionState, len(parts))
-		ok := true
-		for j := range parts {
-			path, have := g.partDelta[j]
-			if !have {
-				ok = false
-				break
-			}
-			start := time.Now()
-			df, err := os.Open(path)
-			if err != nil {
-				ok = false
-				break
-			}
-			d, err := reconcile.ReadStateDelta(df)
-			df.Close()
-			if err != nil {
-				ok = false
-				break
-			}
-			clones[j] = parts[j].Clone()
-			if err := clones[j].Apply(d); err != nil {
-				ok = false
-				break
-			}
-			js.bootObserve(trace.KindCheckpointReplay, fmt.Sprintf("delta #%d r%d/%d", g.seq, j+1, len(parts)), time.Since(start))
-		}
-		if !ok {
-			break
-		}
-		m, err := reconcile.MergeRangeParts(m2, clones)
-		if err != nil {
-			break
-		}
-		parts, merged = clones, m
-		lastApplied = g.seq
+		parts, merged, lastApplied = next, m, g.seq
+		js.bootObserve(trace.KindCheckpointReplay, fmt.Sprintf("delta #%d", g.seq), time.Since(start))
 	}
 	return merged, lastApplied, nil
+}
+
+// replayDelta applies delta checkpoint g all or nothing: onto copies of the
+// shard states, which must then merge under g's own manifest.
+func replayDelta(ranges int, g seqGroup, parts []*reconcile.SessionState) ([]*reconcile.SessionState, *reconcile.SessionState, error) {
+	man, deltas, err := readCheckpoint(ranges, g.delta, reconcile.ReadStateDelta)
+	if err != nil {
+		return nil, nil, err
+	}
+	next := make([]*reconcile.SessionState, len(parts))
+	for j, d := range deltas {
+		next[j] = parts[j].Clone()
+		if err := next[j].Apply(d); err != nil {
+			return nil, nil, err
+		}
+	}
+	merged, err := reconcile.MergeRangeParts(man, next)
+	return next, merged, err
+}
+
+// readCheckpoint reads every record of one checkpoint, keyed by range in
+// files: from the commit file the manifest, then range 0 through the same
+// buffer, then end of file; then the shard files of ranges 1..R-1. The
+// manifest must carry the job's range count.
+func readCheckpoint[T any](ranges int, files map[int]string, read func(io.Reader) (T, error)) (*reconcile.RangeManifest, []T, error) {
+	open := func(j int) (*os.File, error) {
+		path, ok := files[j]
+		if !ok {
+			return nil, fmt.Errorf("missing range %d of %d", j, ranges)
+		}
+		return os.Open(path)
+	}
+	f, err := open(0)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer f.Close()
+	br := bufio.NewReader(f)
+	man, err := reconcile.ReadRangeManifest(br)
+	if err != nil {
+		return nil, nil, err
+	}
+	if man.Ranges() != ranges || ranges < 1 {
+		return nil, nil, fmt.Errorf("manifest of %d ranges, job meta records %d", man.Ranges(), ranges)
+	}
+	recs := make([]T, ranges)
+	if recs[0], err = read(br); err != nil {
+		return nil, nil, fmt.Errorf("range 0: %w", err)
+	}
+	if _, err := br.ReadByte(); err != io.EOF {
+		if err == nil {
+			err = errors.New("trailing bytes after range 0")
+		}
+		return nil, nil, err
+	}
+	for j := 1; j < ranges; j++ {
+		sf, err := open(j)
+		if err != nil {
+			return nil, nil, err
+		}
+		recs[j], err = read(sf)
+		sf.Close()
+		if err != nil {
+			return nil, nil, fmt.Errorf("range %d: %w", j, err)
+		}
+	}
+	return man, recs, nil
 }
 
 // persisted is one job loaded back from disk.
@@ -1011,7 +923,7 @@ func (ts *tenantStore) load(dir, id string) (persisted, error) {
 	if p.meta.ID != id {
 		return p, fmt.Errorf("meta names job %q", p.meta.ID)
 	}
-	js.ranges = p.meta.Ranges // the chain keeps the geometry it was written with
+	js.ranges = max(p.meta.Ranges, 1) // the chain keeps the geometry it was written with
 	for _, f := range []struct {
 		suffix string
 		dst    **reconcile.Graph

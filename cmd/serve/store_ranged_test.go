@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -28,9 +29,10 @@ func newRangedStore(t *testing.T) *store {
 }
 
 // TestStoreRangedChainShape pins the on-disk form of a ranged chain: every
-// checkpoint is a manifest plus one shard file per range (fulls on the
-// fullEvery grid, deltas between), no monolithic records exist, and the
-// meta records the geometry.
+// checkpoint is a commit file (the manifest and range 0) plus one shard
+// file for each of ranges 1..3 (fulls on the fullEvery grid, deltas
+// between), no range-0 shard file exists, and the meta records the
+// geometry.
 func TestStoreRangedChainShape(t *testing.T) {
 	st := newRangedStore(t)
 	chainVictim(t, st, "job-1", 6, 5)
@@ -41,25 +43,28 @@ func TestStoreRangedChainShape(t *testing.T) {
 		t.Fatalf("chain has %d checkpoints, want 5: %v", len(groups), chainFiles(t, js))
 	}
 	for i, g := range groups {
-		if g.mono != nil {
-			t.Fatalf("checkpoint #%d has a monolithic record in a ranged chain", g.seq)
-		}
-		if g.manifest == "" {
-			t.Fatalf("checkpoint #%d has no manifest", g.seq)
-		}
 		// fullEvery=3: full, delta, delta, full, delta.
 		wantFull := i%3 == 0
-		parts := g.partDelta
+		files, other := g.delta, g.full
 		if wantFull {
-			parts = g.partFull
+			files, other = g.full, g.delta
 		}
-		if len(parts) != 4 {
-			t.Fatalf("checkpoint #%d: %d shards of the expected kind (full=%v), want 4: %v",
-				g.seq, len(parts), wantFull, chainFiles(t, js))
+		if len(files) != 4 || len(other) != 0 {
+			t.Fatalf("checkpoint #%d: %d files of the expected kind (full=%v) and %d of the other, want 4 and 0: %v",
+				g.seq, len(files), wantFull, len(other), chainFiles(t, js))
 		}
-		man, err := readManifestFile(g.manifest)
+		if strings.Contains(files[0], ".r0000.") {
+			t.Fatalf("checkpoint #%d: range 0 lives in a shard file %s", g.seq, files[0])
+		}
+		var man *reconcile.RangeManifest
+		var err error
+		if wantFull {
+			man, _, err = readCheckpoint(4, files, reconcile.ReadSessionState)
+		} else {
+			man, _, err = readCheckpoint(4, files, reconcile.ReadStateDelta)
+		}
 		if err != nil {
-			t.Fatalf("checkpoint #%d manifest: %v", g.seq, err)
+			t.Fatalf("checkpoint #%d: %v", g.seq, err)
 		}
 		if man.Ranges() != 4 {
 			t.Fatalf("checkpoint #%d manifest says %d ranges, want 4", g.seq, man.Ranges())
@@ -85,8 +90,9 @@ func TestStoreRangedRecovery(t *testing.T) {
 }
 
 // TestStoreRangedTornTailFallback pins the commit-point contract of ranged
-// checkpoints: with the newest checkpoint torn — its manifest missing (crash
-// before the commit rename) or one shard corrupt — boot falls back to the
+// checkpoints: with the newest checkpoint torn — its commit file, which
+// holds the manifest, missing (crash before the commit rename) or one shard
+// corrupt or missing — boot falls back to the
 // previous consistent checkpoint, surfaces the job as interrupted with
 // dropped records, and resume still finishes bit-identically.
 func TestStoreRangedTornTailFallback(t *testing.T) {
@@ -95,15 +101,16 @@ func TestStoreRangedTornTailFallback(t *testing.T) {
 			st := newRangedStore(t)
 			want := chainVictim(t, st, "job-1", 6, 5)
 			js := st.tenant(tenant.Default).jobStore("job-1")
+			js.ranges = 4 // what boot reads from the meta
 			groups := groupChain(js.listChain())
 			last := groups[len(groups)-1]
 			switch tear {
 			case "manifest-missing":
-				if err := os.Remove(last.manifest); err != nil {
+				if err := os.Remove(last.delta[0]); err != nil {
 					t.Fatal(err)
 				}
 			case "shard-corrupt":
-				path := last.partDelta[2]
+				path := last.delta[2]
 				raw, err := os.ReadFile(path)
 				if err != nil {
 					t.Fatal(err)
@@ -113,7 +120,7 @@ func TestStoreRangedTornTailFallback(t *testing.T) {
 					t.Fatal(err)
 				}
 			case "shard-missing":
-				if err := os.Remove(last.partDelta[1]); err != nil {
+				if err := os.Remove(last.delta[1]); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -133,8 +140,8 @@ func TestStoreRangedTornTailFallback(t *testing.T) {
 }
 
 // TestStoreRangedRetention pins keep-last-K on ranged chains: after enough
-// fulls, only keep anchors remain and every surviving checkpoint still has
-// its manifest and full shard set.
+// fulls, only keep anchors remain and every surviving full still has its
+// commit file and full shard set.
 func TestStoreRangedRetention(t *testing.T) {
 	st := newRangedStore(t)
 	chainVictim(t, st, "job-1", 9, 8) // fulls at 1, 4, 7; keep=2 drops seqs < 4
@@ -142,10 +149,10 @@ func TestStoreRangedRetention(t *testing.T) {
 	groups := groupChain(js.listChain())
 	anchors := 0
 	for _, g := range groups {
-		if len(g.partFull) > 0 {
+		if len(g.full) > 0 {
 			anchors++
-			if g.manifest == "" {
-				t.Fatalf("retained full #%d lost its manifest", g.seq)
+			if len(g.full) != 4 {
+				t.Fatalf("retained full #%d has %d of its 4 files", g.seq, len(g.full))
 			}
 		}
 	}
@@ -332,5 +339,117 @@ func TestRangedChainFilesAreChainRecords(t *testing.T) {
 	}
 	if tracked, walked := js.ts.verifyBytes(); tracked != walked {
 		t.Fatalf("byte accounting drifted after ranged purge: tracked %d, walked %d", tracked, walked)
+	}
+}
+
+// TestStoreCommitFileRefusals pins how recovery reads a commit file — the
+// manifest, then range 0 through the same buffer, then end of file — for
+// one range and for four: a damaged commit file is refused with an error,
+// never misread and never a panic.
+func TestStoreCommitFileRefusals(t *testing.T) {
+	for _, cfg := range []storeConfig{testStoreConfig, rangedStoreConfig} {
+		st, err := newStore(t.TempDir(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chainVictim(t, st, "job-1", 3, 1) // one checkpoint: full #1
+		js := st.tenant(tenant.Default).jobStore("job-1")
+		js.ranges = reconcile.StateRangeCount(400, 400, cfg.rangeNodes)
+		path := js.ckptPath(1, 0, "full")
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := js.recoverState(); err != nil {
+			t.Fatalf("ranges=%d: intact commit file: %v", js.ranges, err)
+		}
+		range0 := bytes.Index(raw[1:], []byte("RSNP")) + 1 // where range 0's record starts
+		for _, tc := range []struct {
+			name    string
+			file    []byte
+			ranges  int
+			wantErr string
+		}{
+			{"trailing bytes", append(append([]byte(nil), raw...), 0), js.ranges, "trailing bytes"},
+			{"truncated range 0", raw[:range0+(len(raw)-range0)/2], js.ranges, "range 0"},
+			{"manifest only", raw[:range0], js.ranges, "range 0"},
+			{"range count differs from meta", raw, js.ranges + 1, "manifest of"},
+		} {
+			if err := os.WriteFile(path, tc.file, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			handle := *js
+			handle.ranges = tc.ranges
+			state, _, err := handle.recoverState()
+			if err == nil || state != nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("ranges=%d, %s: state %v, err %v; want a refusal mentioning %q", js.ranges, tc.name, state != nil, err, tc.wantErr)
+			}
+		}
+	}
+}
+
+// TestStoreRefusesOtherChainLayouts pins that chains written in the older
+// layouts — a bare state record as the whole checkpoint, or a separate
+// manifest file beside range shards — are refused: boot succeeds, serves
+// the other jobs, and skips each such job with an error naming what it
+// found.
+func TestStoreRefusesOtherChainLayouts(t *testing.T) {
+	st := newTestStore(t)
+	chainVictim(t, st, "job-1", 3, 1)
+	g1, g2, seeds := wireInstance(t, testInstance(t, 400, 0.15))
+	rec, err := reconcile.New(g1, g2, reconcile.WithSeeds(seeds))
+	if err != nil {
+		t.Fatal(err)
+	}
+	write := func(js *jobStore, name string, encode func(*os.File) error) {
+		t.Helper()
+		if err := js.writeTracked(js.path(name), encode); err != nil {
+			t.Fatal(err)
+		}
+	}
+	newJob := func(id string, ranges int) *jobStore {
+		t.Helper()
+		js := st.tenant(tenant.Default).jobStore(id)
+		if err := js.saveGraphs(g1, g2); err != nil {
+			t.Fatal(err)
+		}
+		if err := js.writeMeta(jobMeta{ID: id, Num: 2, Status: statusInterrupted, Ranges: ranges}); err != nil {
+			t.Fatal(err)
+		}
+		return js
+	}
+
+	// A whole-state checkpoint: what Checkpointer.WriteFull writes.
+	mono := newJob("job-2", 0)
+	var ckpt reconcile.Checkpointer
+	write(mono, ".ckpt-00000001.full", func(f *os.File) error { return ckpt.WriteFull(f, rec) })
+
+	// A manifest file of its own, with every range, 0 included, in a shard.
+	split := newJob("job-3", 4)
+	ck, err := reconcile.NewRangedCheckpointer(4).Prepare(rec, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	write(split, ".ckpt-00000001.manifest", func(f *os.File) error { return ck.EncodeManifest(f) })
+	for j := 0; j < 4; j++ {
+		write(split, fmt.Sprintf(".ckpt-00000001.r%04d.full", j), func(f *os.File) error { return ck.EncodePart(j, f) })
+	}
+
+	s, skipped := newServer(st)
+	if s.jobs["job-1"] == nil {
+		t.Fatal("boot did not serve the intact job")
+	}
+	want := map[string]string{"job-2": "stream kind", "job-3": "separate manifest file"}
+	if len(skipped) != len(want) {
+		t.Fatalf("boot skipped %d jobs, want %d: %v", len(skipped), len(want), skipped)
+	}
+	for _, err := range skipped {
+		id := strings.Fields(strings.TrimPrefix(err.Error(), "store: tenant default job "))[0]
+		if id = strings.TrimSuffix(id, ":"); !strings.Contains(err.Error(), want[id]) || want[id] == "" {
+			t.Fatalf("skip error %q does not name %q", err, want[id])
+		}
+		if s.jobs[id] != nil {
+			t.Fatalf("refused job %s is served", id)
+		}
 	}
 }

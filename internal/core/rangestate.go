@@ -283,7 +283,9 @@ func PairChunkStarts(parts []*SessionState) []int {
 // concatenating; mismatches mean a torn or mixed checkpoint and fail
 // cleanly. Semantic validation of the merged state (pair injectivity,
 // schedule position, frontier contents) stays where it always was:
-// RestoreSession.
+// RestoreSession. With one shard the merged state shares that shard's pair
+// log and cache rows rather than copying them; states are never modified in
+// place (ApplyDelta builds a new one), so sharing is safe.
 func MergeStateRanges(man *RangeManifest, parts []*SessionState) (*SessionState, error) {
 	if man == nil {
 		return nil, errors.New("core: range merge: nil manifest")
@@ -355,7 +357,7 @@ func MergeStateRanges(man *RangeManifest, parts []*SessionState) (*SessionState,
 		Opts:           parts[0].Opts,
 		N1:             man.N1,
 		N2:             man.N2,
-		Pairs:          make([]graph.Pair, 0, totalPairs),
+		Pairs:          concat(parts, totalPairs, func(p *SessionState) []graph.Pair { return p.Pairs }),
 		Seeds:          man.Seeds,
 		Sweeps:         man.Sweeps,
 		NextBucket:     man.NextBucket,
@@ -364,24 +366,30 @@ func MergeStateRanges(man *RangeManifest, parts []*SessionState) (*SessionState,
 		DroppedMatched: man.DroppedMatched,
 		HybridFrontier: man.HybridFrontier,
 	}
-	for _, p := range parts {
-		out.Pairs = append(out.Pairs, p.Pairs...)
-	}
 	if man.Frontier != nil {
+		n1, n2 := man.N1*man.NLevels, man.N2*man.NLevels
 		fr := &FrontierSnapshot{Rescored: man.Frontier.Rescored}
-		fr.Left.ProposalNode = make([]graph.NodeID, 0, man.N1*man.NLevels)
-		fr.Left.ProposalScore = make([]int32, 0, man.N1*man.NLevels)
-		fr.Right.ProposalNode = make([]graph.NodeID, 0, man.N2*man.NLevels)
-		fr.Right.ProposalScore = make([]int32, 0, man.N2*man.NLevels)
-		for _, p := range parts {
-			fr.Left.ProposalNode = append(fr.Left.ProposalNode, p.Frontier.Left.ProposalNode...)
-			fr.Left.ProposalScore = append(fr.Left.ProposalScore, p.Frontier.Left.ProposalScore...)
-			fr.Right.ProposalNode = append(fr.Right.ProposalNode, p.Frontier.Right.ProposalNode...)
-			fr.Right.ProposalScore = append(fr.Right.ProposalScore, p.Frontier.Right.ProposalScore...)
-		}
+		fr.Left.ProposalNode = concat(parts, n1, func(p *SessionState) []graph.NodeID { return p.Frontier.Left.ProposalNode })
+		fr.Left.ProposalScore = concat(parts, n1, func(p *SessionState) []int32 { return p.Frontier.Left.ProposalScore })
+		fr.Right.ProposalNode = concat(parts, n2, func(p *SessionState) []graph.NodeID { return p.Frontier.Right.ProposalNode })
+		fr.Right.ProposalScore = concat(parts, n2, func(p *SessionState) []int32 { return p.Frontier.Right.ProposalScore })
 		fr.Left.Dirty = append([]graph.NodeID(nil), man.Frontier.DirtyLeft...)
 		fr.Right.Dirty = append([]graph.NodeID(nil), man.Frontier.DirtyRight...)
 		out.Frontier = fr
 	}
 	return out, nil
+}
+
+// concat joins one slice per shard into a new slice of length n. A single
+// shard's slice is adopted instead: a one-range checkpoint merges without
+// copying its pair log or frontier cache.
+func concat[T any](parts []*SessionState, n int, get func(*SessionState) []T) []T {
+	if len(parts) == 1 {
+		return get(parts[0])
+	}
+	out := make([]T, 0, n)
+	for _, p := range parts {
+		out = append(out, get(p)...)
+	}
+	return out
 }

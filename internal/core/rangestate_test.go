@@ -177,6 +177,14 @@ func TestSplitMergeRoundTrip(t *testing.T) {
 			if !statesEqual(st, got) {
 				t.Fatalf("%s/R=%d: merge(split(st)) != st", name, ranges)
 			}
+			// One range merges by adopting the shard's slices, not copying.
+			if ranges == 1 && len(st.Pairs) > 0 && &got.Pairs[0] != &parts[0].Pairs[0] {
+				t.Fatalf("%s/R=1: merge copied the pair log", name)
+			}
+			if ranges == 1 && st.Frontier != nil && len(st.Frontier.Left.ProposalNode) > 0 &&
+				&got.Frontier.Left.ProposalNode[0] != &parts[0].Frontier.Left.ProposalNode[0] {
+				t.Fatalf("%s/R=1: merge copied the frontier cache", name)
+			}
 		}
 	}
 }

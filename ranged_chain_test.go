@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -144,59 +145,65 @@ func TestRangedChainResumeEquivalence(t *testing.T) {
 				t.Fatal("reference run found nothing; instance too weak")
 			}
 
-			chain := rangedChain(t, g1, g2, 3, opts)
-			if len(chain) != len(want.Phases) {
-				t.Fatalf("victim checkpointed %d times, want one per phase (%d)", len(chain), len(want.Phases))
-			}
-			if engine == reconcile.EngineHybrid {
-				anchored := false
-				for _, rec := range chain[1:] {
-					anchored = anchored || rec.full
-				}
-				if !anchored {
-					t.Fatal("hybrid chain has no mid-chain full; the handoff never fired")
-				}
-			}
-
-			for _, cut := range []int{0, 1, len(chain) / 2, len(chain) - 1} {
-				st := replayRanged(t, chain, cut)
-				restored, err := reconcile.RestoreSessionState(g1, g2, st)
-				if err != nil {
-					t.Fatalf("cut %d: restore: %v", cut, err)
-				}
-				var again bytes.Buffer
-				if err := restored.SnapshotState(&again); err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(again.Bytes(), chain[cut].monolithic) {
-					t.Fatalf("cut %d: merged state differs from the monolithic snapshot", cut)
-				}
-				got, err := restored.Resume(context.Background())
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(want, got) {
-					t.Fatalf("cut %d: ranged-restored run diverged: %d pairs / %d phases, want %d / %d",
-						cut, len(got.Pairs), len(got.Phases), len(want.Pairs), len(want.Phases))
-				}
-			}
-
-			// Shards from one checkpoint do not merge under another
-			// checkpoint's manifest: a torn ranged checkpoint is refused.
-			if len(chain) > 1 {
-				man, err := reconcile.ReadRangeManifest(bytes.NewReader(chain[len(chain)-1].manifest))
-				if err != nil {
-					t.Fatal(err)
-				}
-				parts := make([]*reconcile.SessionState, man.Ranges())
-				for j := range parts {
-					if parts[j], err = reconcile.ReadSessionState(bytes.NewReader(chain[0].parts[j])); err != nil {
-						t.Fatal(err)
+			// One range is the geometry every default-flag job uses: its
+			// merge adopts the single shard's slices instead of copying them.
+			for _, ranges := range []int{1, 3} {
+				t.Run(fmt.Sprintf("ranges=%d", ranges), func(t *testing.T) {
+					chain := rangedChain(t, g1, g2, ranges, opts)
+					if len(chain) != len(want.Phases) {
+						t.Fatalf("victim checkpointed %d times, want one per phase (%d)", len(chain), len(want.Phases))
 					}
-				}
-				if _, err := reconcile.MergeRangeParts(man, parts); err == nil {
-					t.Fatal("merged checkpoint-0 shards under the final manifest (tear undetected)")
-				}
+					if engine == reconcile.EngineHybrid {
+						anchored := false
+						for _, rec := range chain[1:] {
+							anchored = anchored || rec.full
+						}
+						if !anchored {
+							t.Fatal("hybrid chain has no mid-chain full; the handoff never fired")
+						}
+					}
+
+					for _, cut := range []int{0, 1, len(chain) / 2, len(chain) - 1} {
+						st := replayRanged(t, chain, cut)
+						restored, err := reconcile.RestoreSessionState(g1, g2, st)
+						if err != nil {
+							t.Fatalf("cut %d: restore: %v", cut, err)
+						}
+						var again bytes.Buffer
+						if err := restored.SnapshotState(&again); err != nil {
+							t.Fatal(err)
+						}
+						if !bytes.Equal(again.Bytes(), chain[cut].monolithic) {
+							t.Fatalf("cut %d: merged state differs from the monolithic snapshot", cut)
+						}
+						got, err := restored.Resume(context.Background())
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !reflect.DeepEqual(want, got) {
+							t.Fatalf("cut %d: ranged-restored run diverged: %d pairs / %d phases, want %d / %d",
+								cut, len(got.Pairs), len(got.Phases), len(want.Pairs), len(want.Phases))
+						}
+					}
+
+					// Shards from one checkpoint do not merge under another
+					// checkpoint's manifest: a torn ranged checkpoint is refused.
+					if len(chain) > 1 {
+						man, err := reconcile.ReadRangeManifest(bytes.NewReader(chain[len(chain)-1].manifest))
+						if err != nil {
+							t.Fatal(err)
+						}
+						parts := make([]*reconcile.SessionState, man.Ranges())
+						for j := range parts {
+							if parts[j], err = reconcile.ReadSessionState(bytes.NewReader(chain[0].parts[j])); err != nil {
+								t.Fatal(err)
+							}
+						}
+						if _, err := reconcile.MergeRangeParts(man, parts); err == nil {
+							t.Fatal("merged checkpoint-0 shards under the final manifest (tear undetected)")
+						}
+					}
+				})
 			}
 		})
 	}

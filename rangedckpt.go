@@ -14,21 +14,23 @@ import (
 // RangedCheckpointer splits the session state into per-node-range shards —
 // each a well-formed state carried by the existing full/delta codec — plus
 // one small manifest record holding everything global, so a store can
-// encode, fsync, and replay the shards in parallel and commit the
-// checkpoint by writing the manifest last. Restoring (manifest + shards),
-// with deltas replayed per shard, merges back to the identical state; the
-// kill-anywhere/resume-bit-identically guarantee holds unchanged across
-// ranged and monolithic chains (pinned by the ranged resume-equivalence
-// suite).
+// encode and fsync the shards in parallel and commit the checkpoint by
+// writing the manifest last. Restoring (manifest + shards), with deltas
+// replayed per shard, merges back to the identical state; the
+// kill-anywhere/resume-bit-identically guarantee holds for every shard
+// count, one included (pinned by the ranged resume-equivalence suite).
+// cmd/serve stores every checkpoint this way: ranges 1..R-1 in shard files,
+// then one commit file holding the manifest followed by range 0, so a
+// one-range checkpoint is a single file.
 
 // MaxStateRanges is the largest shard count a ranged checkpoint may use.
 const MaxStateRanges = core.MaxStateRanges
 
 // StateRangeCount returns the shard count for a graph pair:
 // ceil((n1+n2)/targetNodes) clamped to [1, MaxStateRanges]; non-positive
-// targetNodes disables sharding (returns 1). A count of 1 means ranged and
-// monolithic checkpoints coincide — stores use the plain Checkpointer
-// there.
+// targetNodes disables sharding (returns 1). A count of 1 is a one-range
+// checkpoint: a manifest and one shard, which MergeRangeParts reassembles
+// without copying.
 func StateRangeCount(n1, n2, targetNodes int) int {
 	return core.RangeCount(n1, n2, targetNodes)
 }
@@ -57,7 +59,9 @@ func ReadRangeManifest(r io.Reader) (*RangeManifest, error) {
 // shard states (fulls, or fulls advanced by per-shard deltas via Apply).
 // The shards are cross-checked against the manifest — geometry, repeated
 // fingerprints, totals — so a torn or mixed checkpoint fails cleanly here
-// rather than restoring something subtly wrong.
+// rather than restoring something subtly wrong. With one shard the merged
+// state shares that shard's slices instead of copying them, which is safe
+// because Apply never modifies a state in place.
 func MergeRangeParts(man *RangeManifest, parts []*SessionState) (*SessionState, error) {
 	if man == nil {
 		return nil, errors.New("reconcile: merge: nil manifest")
@@ -127,8 +131,9 @@ func (ck *RangedCheckpoint) Full() bool { return ck.full }
 // Ranges returns the checkpoint's shard count.
 func (ck *RangedCheckpoint) Ranges() int { return len(ck.parts) }
 
-// EncodeManifest writes the manifest record. Stores write it after every
-// shard landed: its durable presence is the checkpoint's commit point.
+// EncodeManifest writes the manifest record. Stores make it durable after
+// every other shard landed — alone, or at the head of one file followed by
+// shard 0 — so its durable presence is the checkpoint's commit point.
 func (ck *RangedCheckpoint) EncodeManifest(w io.Writer) error {
 	return snapshot.WriteManifest(w, ck.man)
 }

@@ -160,7 +160,8 @@ func restoreReconciler(g1, g2 *Graph, st *core.SessionState, opts []Option) (*Re
 // delta records (the pairs, phase entries and cache edits since the last
 // checkpoint) in between; restoring replays (full + deltas) back into the
 // identical state, so the resume-equivalence guarantee carries over
-// unchanged. cmd/serve's sharded -data-dir store is the reference consumer.
+// unchanged. RangedCheckpointer extends the same chain to per-node-range
+// shards; cmd/serve's -data-dir store checkpoints through it.
 
 // ErrFullRequired reports that a delta checkpoint cannot be written — there
 // is no base yet, or the session changed in a way deltas do not express
